@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use generic_hdc::encoding::{Encoder, GenericEncoder, GenericEncoderSpec};
-use generic_hdc::{BinaryHv, BinaryModel, HdcModel, IntHv, NormMode, PredictOptions};
+use generic_hdc::{BinaryHv, HdcModel, IntHv, NormMode, PredictOptions, QuantizedModel};
 use std::hint::black_box;
 
 fn trained_model(dim: usize, n_classes: usize) -> (HdcModel, IntHv) {
@@ -63,22 +63,25 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
 }
 
-/// Integer cosine search vs the packed binary associative memory — the
-/// software counterpart of the 1-bit deployment mode.
+/// Integer cosine search vs the packed 1-bit model (the binarized
+/// associative memory) — the software counterpart of the 1-bit
+/// deployment mode.
 fn bench_binary_vs_integer_search(c: &mut Criterion) {
     let (model, query) = trained_model(4096, 16);
-    let binary = BinaryModel::from_model(&model);
+    let binary = QuantizedModel::from_model(&model, 1)
+        .and_then(|q| q.pack())
+        .expect("valid model");
+    let view = binary.view();
     let binary_query = query.to_binary();
 
     let mut group = c.benchmark_group("search_representation");
     group.bench_function("integer_cosine_4k_16c", |b| {
         b.iter(|| black_box(model.predict(black_box(&query))))
     });
-    group.bench_function("binary_hamming_4k_16c", |b| {
+    group.bench_function("packed_1bit_4k_16c", |b| {
         b.iter(|| {
             black_box(
-                binary
-                    .predict(black_box(&binary_query))
+                view.predict(black_box(&binary_query))
                     .expect("widths match"),
             )
         })

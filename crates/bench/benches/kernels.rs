@@ -1,17 +1,17 @@
 //! Criterion micro-benchmarks: the word-parallel kernels against their
 //! retained scalar references — bit-sliced bundling vs per-dimension
-//! accumulation, packed sign/magnitude scoring vs the scalar dot, and
-//! blocked vs scalar class scoring — plus every runtime-dispatched SIMD
-//! kernel set paired against the portable fallback on the same buffers,
-//! and the batched scoring engine against per-query scoring.
+//! accumulation, packed sign/magnitude scoring vs the scalar quantized
+//! model, and blocked vs scalar class scoring — plus every
+//! runtime-dispatched SIMD kernel set paired against the portable
+//! fallback on the same buffers, and the batched scoring engine against
+//! per-query scoring.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use generic_hdc::encoding::GenericEncoder;
 use generic_hdc::encoding::GenericEncoderSpec;
 use generic_hdc::kernels;
 use generic_hdc::{
-    BinaryHv, BitSliceAccumulator, HdcModel, IntHv, PackedInts, PredictOptions, QuantizedModel,
-    ScoreBatch,
+    BinaryHv, BitSliceAccumulator, HdcModel, IntHv, PredictOptions, QuantizedModel, ScoreBatch,
 };
 use std::hint::black_box;
 
@@ -69,23 +69,6 @@ fn bench_encode_bins(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dot_packed(c: &mut Criterion) {
-    let query = BinaryHv::random_seeded(DIM, 3).expect("dim > 0");
-    let values: Vec<i32> = (0..DIM as i64)
-        .map(|i| ((i * 37 + 11) % 127 - 63) as i32)
-        .collect();
-    let packed = PackedInts::from_values(&values).expect("valid values");
-
-    let mut group = c.benchmark_group("dot_4096");
-    group.bench_function("scalar", |b| {
-        b.iter(|| black_box(query.dot_int(black_box(&values)).expect("dims match")))
-    });
-    group.bench_function("packed", |b| {
-        b.iter(|| black_box(query.dot_packed(black_box(&packed)).expect("dims match")))
-    });
-    group.finish();
-}
-
 fn bench_scoring(c: &mut Criterion) {
     let encoded: Vec<IntHv> = (0..13u64)
         .map(|s| IntHv::from(BinaryHv::random_seeded(DIM, 100 + s).expect("dim > 0")))
@@ -122,11 +105,12 @@ fn bench_quantized_scoring(c: &mut Criterion) {
     for bw in [4u8, 8] {
         let quantized = QuantizedModel::from_model(&model, bw).expect("valid width");
         let packed = quantized.pack().expect("valid model");
+        let view = packed.view();
         group.bench_with_input(BenchmarkId::new("scalar", bw), &query_int, |b, q| {
             b.iter(|| black_box(quantized.scores(black_box(q))))
         });
         group.bench_with_input(BenchmarkId::new("packed", bw), &query, |b, q| {
-            b.iter(|| black_box(packed.scores(black_box(q)).expect("dims match")))
+            b.iter(|| black_box(view.scores(black_box(q)).expect("dims match")))
         });
     }
     group.finish();
@@ -242,7 +226,6 @@ criterion_group!(
     benches,
     bench_bundling,
     bench_encode_bins,
-    bench_dot_packed,
     bench_scoring,
     bench_quantized_scoring,
     bench_isa_primitives,

@@ -5,11 +5,12 @@
 //!
 //! 1. **Cold load**: mapping + validating a v3 file and scoring one
 //!    query through the borrowed view, vs fully deserializing the same
-//!    model from its v2 stream, repacking, and scoring. Gate (full
-//!    mode): median mmap cold load ≥ 10× faster.
-//! 2. **Bit-identity**: mapped-view scores equal the heap-packed
-//!    [`PackedQuantizedModel`] scores bit-for-bit under **every**
-//!    dispatched ISA. Always enforced.
+//!    model from its v2 stream, repacking it into a
+//!    [`PackedModel`](generic_hdc::PackedModel), and scoring. Gate
+//!    (full mode): median mmap cold load ≥ 10× faster.
+//! 2. **Bit-identity**: mapped-view scores equal the scalar
+//!    [`QuantizedModel::scores`] bit-for-bit under **every** dispatched
+//!    ISA. Always enforced.
 //! 3. **Churn**: ≥ 64 tenants rotating through an LRU byte budget
 //!    sized for a fraction of them; the resident set must stay under
 //!    the budget after every single load. Always enforced. Steady-state
@@ -105,7 +106,7 @@ fn cold_load_v2(path: &Path, query: &BinaryHv) -> usize {
     let bytes = std::fs::read(path).expect("tenant v2 file reads");
     let model = read_quantized(bytes.as_slice()).expect("sealed v2 stream");
     let packed = model.pack().expect("packs");
-    packed.predict(query).expect("dim matches")
+    packed.view().predict(query).expect("dim matches")
 }
 
 fn main() {
@@ -161,10 +162,9 @@ fn main() {
         let path = dir.join(format!("{}.ghdc", tenant_name(i)));
         let bytes = Mapping::map_file(&path).expect("tenant file maps");
         let view = PackedModelView::new(&bytes).expect("sealed v3 stream");
-        let packed = model.pack().expect("packs");
         for _ in 0..4 {
             let query = BinaryHv::random_seeded(config.dim, rng.random()).expect("dim > 0");
-            let oracle = packed.scores(&query).expect("heap scores");
+            let oracle = model.scores(&IntHv::from(query.clone()));
             for &isa in &isas {
                 let kernel = kernels::for_isa(isa).expect("listed ISA resolves");
                 let mut mapped = Vec::new();

@@ -910,7 +910,7 @@ fn export_dead_letters<W: Write>(
 }
 
 /// Flushes the micro-batch scheduler, printing answers in push order.
-/// Per-row soft failures (quarantined or shed requests) are silent,
+/// Per-row soft failures (quarantined requests) are silent,
 /// exactly as in unbatched serving; hard runtime errors abort.
 fn drain_batch<W: Write>(
     batcher: &mut MicroBatcher,
@@ -921,7 +921,7 @@ fn drain_batch<W: Write>(
     for result in batcher.flush(runtime, budget) {
         match result {
             Ok(answer) => writeln!(out, "{}", answer.label)?,
-            Err(RuntimeError::Rejected(_) | RuntimeError::DeadlineShed { .. }) => {}
+            Err(RuntimeError::Rejected(_)) => {}
             Err(e) => return Err(e.into()),
         }
     }

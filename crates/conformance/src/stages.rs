@@ -10,15 +10,15 @@ use generic_hdc::kernels;
 use generic_hdc::ledger::{FsOp, LedgerFs, MANIFEST_NAME};
 use generic_hdc::net::{read_frame, Frame, NetConfig, NetFrontend, NetStatus};
 use generic_hdc::oracle::{
-    BundleKernel, DifferentialKernel, DotI32Kernel, EncodeKernel, HammingKernel, PackedDotKernel,
-    PackedScoreKernel, PruneKernel, PrunedScoreKernel, RetrainKernel, SaliencyKernel,
-    ScoreBatchKernel, ScoreKernel, StageKind,
+    BundleKernel, DifferentialKernel, DotI32Kernel, EncodeKernel, HammingKernel, PackedScoreKernel,
+    PruneKernel, PrunedScoreKernel, RetrainKernel, SaliencyKernel, ScoreBatchKernel, ScoreKernel,
+    StageKind,
 };
 use generic_hdc::registry::{ModelRegistry, RegistryConfig};
 use generic_hdc::runtime::{CheckpointStore, OnlineRuntime, RetryPolicy, RuntimeConfig};
 use generic_hdc::{
-    BinaryHv, HdcModel, HdcPipeline, IntHv, NormMode, PackedInts, PackedQuantizedModel,
-    PredictOptions, QuantizedModel, ResilienceConfig, ResilientPipeline, ServeConfig, Server,
+    BinaryHv, HdcModel, HdcPipeline, IntHv, NormMode, PredictOptions, QuantizedModel,
+    ResilienceConfig, ResilientPipeline, ServeConfig, Server,
 };
 use generic_sim::{mitchell_divide_wide, Accelerator, AcceleratorConfig};
 
@@ -391,9 +391,10 @@ fn stage_score(
     Ok(())
 }
 
-/// Packed bit-plane scoring vs unpacked quantized scoring on binarized
-/// queries, plus the `from_parts` reassembly boundary; returns the
-/// quantized model for the resilient stage.
+/// Packed bit-plane scoring (the v3 view, on every detected ISA) vs
+/// unpacked quantized scoring on binarized queries, plus the
+/// `from_parts` reassembly boundary; returns the quantized model for the
+/// resilient stage.
 fn stage_quant_score(
     scenario: &Scenario,
     mutation: Mutation,
@@ -424,57 +425,32 @@ fn stage_quant_score(
     }
     coverage.add(STAGE, 1);
 
-    let kernel = PackedScoreKernel {
-        quantized: &quantized,
-        packed: &packed,
-    };
-    for (i, query) in encoded.iter().enumerate() {
-        let binary = query.to_binary();
-        let mut fast = kernel
-            .fast(&binary)
-            .map_err(|e| harness_failure(STAGE, kernel.entry().name, &e))?;
-        if mutation == Mutation::PackedScoreSkew && i == 0 {
-            fast[0] += 1e-3;
-        }
-        let reference = kernel
-            .reference(&binary)
-            .map_err(|e| harness_failure(STAGE, kernel.entry().name, &e))?;
-        if fast != reference {
-            return Err(Divergence {
-                stage: STAGE,
-                kernel: kernel.entry().name.to_string(),
-                detail: format!("sample {i}: {}", first_f64_diff(&fast, &reference)),
-            });
-        }
-        coverage.add(STAGE, 1);
-    }
-
-    // Per-ISA sweep: the masked bit-plane dot primitive against its
-    // scalar oracle, one check per class row per detected kernel set.
-    if let Some(query) = encoded.first() {
-        let binary = query.to_binary();
-        for isa in kernels::available() {
-            let kernel = PackedDotKernel { isa };
-            let name = format!("{}[{isa}]", kernel.entry().name);
-            for c in 0..quantized.n_classes() {
-                let planes = PackedInts::from_i16(quantized.class(c))
-                    .map_err(|e| harness_failure(STAGE, &name, &e))?;
-                let input = (binary.clone(), planes);
-                let fast = kernel
-                    .fast(&input)
-                    .map_err(|e| harness_failure(STAGE, &name, &e))?;
-                let reference = kernel
-                    .reference(&input)
-                    .map_err(|e| harness_failure(STAGE, &name, &e))?;
-                if fast != reference {
-                    return Err(Divergence {
-                        stage: STAGE,
-                        kernel: name,
-                        detail: format!("class {c}: fast {fast} vs reference {reference}"),
-                    });
-                }
-                coverage.add(STAGE, 1);
+    for isa in kernels::available() {
+        let kernel = PackedScoreKernel {
+            quantized: &quantized,
+            packed: &packed,
+            isa,
+        };
+        let name = kernel.entry().name;
+        for (i, query) in encoded.iter().enumerate() {
+            let binary = query.to_binary();
+            let mut fast = kernel
+                .fast(&binary)
+                .map_err(|e| harness_failure(STAGE, name, &e))?;
+            if mutation == Mutation::PackedScoreSkew && i == 0 {
+                fast[0] += 1e-3;
             }
+            let reference = kernel
+                .reference(&binary)
+                .map_err(|e| harness_failure(STAGE, name, &e))?;
+            if fast != reference {
+                return Err(Divergence {
+                    stage: STAGE,
+                    kernel: name.to_string(),
+                    detail: format!("[{isa}] sample {i}: {}", first_f64_diff(&fast, &reference)),
+                });
+            }
+            coverage.add(STAGE, 1);
         }
     }
     Ok(quantized)
@@ -988,7 +964,7 @@ fn concurrent_serve_cycle(
 /// every answered frame must carry exactly the label the in-process
 /// path produces, with the scalar predictor on the pinned snapshot
 /// agreeing bit-for-bit at the answered dimensionality. Tenant-routed
-/// frames are checked against the published model's heap oracle, a
+/// frames are checked against the published model's scalar oracle, a
 /// deliberately tight deadline must come back as either a valid answer
 /// or a [`NetStatus::Shed`] refusal, a malformed frame must drop only
 /// its own connection, and graceful shutdown must end the surviving
@@ -1033,7 +1009,6 @@ fn network_cycle(
     registry
         .publish("conformance", &tenant_model)
         .map_err(|e| err(&e))?;
-    let tenant_oracle = tenant_model.pack().map_err(|e| err(&e))?;
 
     let store = CheckpointStore::open(&ckpt_dir, 2, RetryPolicy::default()).map_err(|e| err(&e))?;
     let config = RuntimeConfig {
@@ -1152,7 +1127,7 @@ fn network_cycle(
             coverage.add(STAGE, 2);
         }
 
-        // Tenant-routed answers against the published model's heap
+        // Tenant-routed answers against the published model's scalar
         // oracle (last-wins argmax, the documented tie-break).
         for (i, sample) in features.iter().take(tenant_n).enumerate() {
             let frame = read_frame(&mut conn)
@@ -1184,7 +1159,7 @@ fn network_cycle(
                 .encode(sample)
                 .map_err(|e| err(&e))?
                 .to_binary();
-            let scores = tenant_oracle.scores(&query).map_err(|e| err(&e))?;
+            let scores = tenant_model.scores(&IntHv::from(query));
             let mut oracle = 0usize;
             let mut best = f64::NEG_INFINITY;
             for (c, &s) in scores.iter().enumerate() {
@@ -1199,7 +1174,7 @@ fn network_cycle(
                     kernel: KERNEL.to_string(),
                     detail: format!(
                         "tenant sample {i}: the socket answered {label} but the published \
-                         model's heap oracle predicts {oracle}"
+                         model's scalar oracle predicts {oracle}"
                     ),
                 });
             }
@@ -1379,8 +1354,8 @@ fn stage_registry(
 }
 
 /// Scores every query through the tenant's mapped view on every
-/// detected ISA and compares bit-for-bit against the heap oracle
-/// (`read_packed` of the same file, packed, scored).
+/// detected ISA and compares bit-for-bit against the scalar oracle
+/// (`read_packed` of the same file, scored unpacked).
 fn check_registry_tenant(
     coverage: &mut Coverage,
     registry: &ModelRegistry,
@@ -1394,14 +1369,11 @@ fn check_registry_tenant(
     let handle = registry.get("conformance").map_err(|e| err(&e))?;
     let path = registry.tenant_path("conformance").map_err(|e| err(&e))?;
     let bytes = std::fs::read(&path).map_err(|e| err(&e))?;
-    let heap = read_packed(bytes.as_slice())
-        .map_err(|e| err(&e))?
-        .pack()
-        .map_err(|e| err(&e))?;
+    let scalar = read_packed(bytes.as_slice()).map_err(|e| err(&e))?;
     let view = handle.view();
     let mut mapped = Vec::new();
     for (i, query) in queries.iter().enumerate() {
-        let reference = heap.scores(query).map_err(|e| err(&e))?;
+        let reference = scalar.scores(&IntHv::from(query.clone()));
         for isa in kernels::available() {
             let kernel_set = kernels::for_isa(isa).ok_or_else(|| {
                 harness_failure(STAGE, KERNEL, &format!("{isa} not dispatchable"))
@@ -1458,14 +1430,13 @@ fn registry_cycle(
     // Hot swap: a pinned reader must keep scoring the *old* bytes while
     // new gets see the replacement.
     let pinned = registry.get("conformance").map_err(|e| err(&e))?;
-    let old_oracle = first.pack().map_err(|e| err(&e))?;
     registry
         .publish("conformance", &second)
         .map_err(|e| err(&e))?;
     check_registry_tenant(coverage, &registry, &queries, "hot swap")?;
     for (i, query) in queries.iter().enumerate() {
         let stale = pinned.view().scores(query).map_err(|e| err(&e))?;
-        let reference = old_oracle.scores(query).map_err(|e| err(&e))?;
+        let reference = first.scores(&IntHv::from(query.clone()));
         if stale != reference {
             return Err(Divergence {
                 stage: STAGE,
@@ -1518,10 +1489,8 @@ fn registry_cycle(
 
     // --- Generational ledger replay: publish → crash → recover →
     // rollback → torn manifest, the mapped view checked bit-for-bit
-    // against the heap oracle of whichever generation must be live
+    // against the scalar oracle of whichever generation must be live
     // after each transition.
-    let first_oracle = old_oracle;
-    let second_oracle = second.pack().map_err(|e| err(&e))?;
     drop(registry);
 
     // A publish killed before its image rename must leave the
@@ -1549,7 +1518,7 @@ fn registry_cycle(
     check_live_generation(
         coverage,
         &registry,
-        &second_oracle,
+        &second,
         &queries,
         "recovered after crashed publish",
     )?;
@@ -1561,17 +1530,11 @@ fn registry_cycle(
     )?;
 
     // Explicit rollback: the previous generation becomes live again and
-    // scores exactly as its heap oracle.
+    // scores exactly as its scalar oracle.
     let target = registry
         .rollback("conformance", None)
         .map_err(|e| err(&e))?;
-    check_live_generation(
-        coverage,
-        &registry,
-        &first_oracle,
-        &queries,
-        "after rollback",
-    )?;
+    check_live_generation(coverage, &registry, &first, &queries, "after rollback")?;
     check_registry_tenant(coverage, &registry, &queries, "after rollback")?;
     let records = registry.history("conformance").map_err(|e| err(&e))?;
     let live: Vec<u64> = records
@@ -1611,7 +1574,7 @@ fn registry_cycle(
     check_live_generation(
         coverage,
         &registry,
-        &second_oracle,
+        &second,
         &queries,
         "rebuilt from torn manifest",
     )?;
@@ -1621,12 +1584,12 @@ fn registry_cycle(
 }
 
 /// Scores every query through the live mapped view and compares
-/// bit-for-bit against the heap oracle of the generation that the
+/// bit-for-bit against the scalar oracle of the generation that the
 /// ledger replay expects to be serving after `step`.
 fn check_live_generation(
     coverage: &mut Coverage,
     registry: &ModelRegistry,
-    oracle: &PackedQuantizedModel,
+    oracle: &QuantizedModel,
     queries: &[BinaryHv],
     step: &str,
 ) -> Result<(), Divergence> {
@@ -1636,7 +1599,7 @@ fn check_live_generation(
     let handle = registry.get("conformance").map_err(|e| err(&e))?;
     let view = handle.view();
     for (i, query) in queries.iter().enumerate() {
-        let reference = oracle.scores(query).map_err(|e| err(&e))?;
+        let reference = oracle.scores(&IntHv::from(query.clone()));
         let mapped = view.scores(query).map_err(|e| err(&e))?;
         if mapped != reference {
             return Err(Divergence {

@@ -376,9 +376,10 @@ const fn align_up(n: usize, align: usize) -> usize {
 
 /// The header-computable geometry of a GHDC v3 stream.
 ///
-/// A v3 stream is a [`QuantizedModel`] already decomposed into the
-/// sign/magnitude bit planes of [`PackedInts`](crate::PackedInts), laid
-/// out so a memory-mapped file can be scored in place:
+/// A v3 stream is a [`QuantizedModel`] already decomposed into
+/// sign/magnitude bit planes (a signs plane, bit set ⇔ negative, then
+/// plane `k` holding bit `k` of every `|value|`), laid out so a
+/// memory-mapped file can be scored in place:
 ///
 /// ```text
 /// offset 0                        64-byte header:
@@ -392,7 +393,7 @@ const fn align_up(n: usize, align: usize) -> usize {
 ///   [16..20) n_planes   (u32 LE, uniform across classes)
 ///   [20..24) parent_dim (u32 LE, 0 = full support)
 ///   [24..64) reserved, zero
-/// norms_offset                    n_classes × f64 LE  (‖C‖, pack() fold)
+/// norms_offset                    n_classes × f64 LE  (‖C‖, scores() fold)
 /// plane_pop_offset                n_classes × n_planes × i64 LE
 /// planes_offset                   per class: signs plane, then plane 0
 ///                                 … plane n_planes−1; every plane is
@@ -418,8 +419,10 @@ const fn align_up(n: usize, align: usize) -> usize {
 /// *maximum* plane count over all classes: classes with a smaller
 /// magnitude range carry explicit all-zero planes, which contribute
 /// exactly zero to the masked-popcount dot product, keeping mapped
-/// scores bit-identical to
-/// [`PackedQuantizedModel`](crate::PackedQuantizedModel).
+/// scores bit-identical to [`QuantizedModel::scores`]. This layout is
+/// the crate's one packed form: [`QuantizedModel::pack`] returns it as
+/// an owned [`PackedModel`](crate::PackedModel), and
+/// [`PackedModelView`](crate::PackedModelView) is its one reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedLayout {
     dim: usize,
@@ -836,7 +839,7 @@ pub(crate) fn packed_bytes_pruned(
 
     for c in 0..n_classes {
         let values = model.class(c);
-        // Same left-to-right fold as `QuantizedModel::pack`, so mapped
+        // Same left-to-right fold as `QuantizedModel::scores`, so mapped
         // scores divide by bit-identical norms.
         let norm = values
             .iter()

@@ -2,9 +2,9 @@
 //!
 //! The similarity and bundling hot loops spend their time in four tiny
 //! primitives: XOR+popcount Hamming distance, the masked popcount at the
-//! heart of [`dot_packed`](crate::BinaryHv::dot_packed), one carry-save
-//! ripple step of the bit-sliced bundler, and the `i32 × i32 → i64` dot
-//! product of blocked class scoring. This module provides vector-wide
+//! heart of [`PackedModelView`](crate::PackedModelView) scoring, one
+//! carry-save ripple step of the bit-sliced bundler, and the
+//! `i32 × i32 → i64` dot product of blocked class scoring. This module provides vector-wide
 //! implementations of each (AVX2 and AVX-512 VPOPCNTDQ on `x86_64`, NEON
 //! on `aarch64`) behind a table of function pointers selected once per
 //! process by runtime CPU-feature detection, with the existing word-wise

@@ -21,8 +21,8 @@
 use crate::encoding::GenericEncoder;
 use crate::kernels::{self, Isa};
 use crate::{
-    BinaryHv, BitSliceAccumulator, HdcError, HdcModel, IntHv, PackedInts, PackedQuantizedModel,
-    PredictOptions, QuantizedModel, ScoreBatch,
+    BinaryHv, BitSliceAccumulator, HdcError, HdcModel, IntHv, PackedModel, PredictOptions,
+    QuantizedModel, ScoreBatch,
 };
 
 /// How far a fast implementation may stray from its scalar oracle.
@@ -166,9 +166,11 @@ pub const ORACLE_REGISTRY: &[OracleEntry] = &[
         name: "packed_scores",
         stage: StageKind::QuantScore,
         tolerance: Tolerance::BitIdentical,
-        contract: "bit-plane popcount dot products are exact integers and \
-                   the class norms are the same left-to-right f64 fold as \
-                   the unpacked model",
+        contract: "the packed view's masked bit-plane popcount dot products \
+                   are exact integers on every dispatched ISA (SIMD lanes \
+                   only reassociate integer addition) and the stored class \
+                   norms are the same left-to-right f64 fold as the \
+                   unpacked model",
     },
     OracleEntry {
         name: "hamming_simd",
@@ -178,15 +180,6 @@ pub const ORACLE_REGISTRY: &[OracleEntry] = &[
                    popcounts; integer addition is associative, so every \
                    SIMD lane arrangement totals the same count as the \
                    portable word loop",
-    },
-    OracleEntry {
-        name: "dot_packed_simd",
-        stage: StageKind::QuantScore,
-        tolerance: Tolerance::BitIdentical,
-        contract: "the masked bit-plane popcount reduction is an exact \
-                   integer sum per plane; SIMD lanes only reassociate the \
-                   addition, so the packed dot product matches the \
-                   portable loop bit for bit",
     },
     OracleEntry {
         name: "bundle_ripple_simd",
@@ -263,10 +256,10 @@ pub const ORACLE_REGISTRY: &[OracleEntry] = &[
         stage: StageKind::Registry,
         tolerance: Tolerance::BitIdentical,
         contract: "a zero-copy view over a mapped GHDC v3 tenant file \
-                   computes the exact i64 bit-plane dots the heap path \
-                   computes after deserializing the same bytes, on every \
-                   dispatched ISA — across cold loads, atomic hot-swaps, \
-                   and evict/reload cycles",
+                   scores exactly as the scalar quantized model \
+                   deserialized from the same bytes, on every dispatched \
+                   ISA — across cold loads, atomic hot-swaps, and \
+                   evict/reload cycles",
     },
     OracleEntry {
         name: "net_answer",
@@ -448,14 +441,16 @@ impl DifferentialKernel for RetrainKernel<'_> {
     }
 }
 
-/// [`PackedQuantizedModel::scores`] vs [`QuantizedModel::scores`] on a
-/// binarized query.
+/// [`PackedModel`] view scoring on one ISA vs the scalar
+/// [`QuantizedModel::scores`] on a binarized query.
 #[derive(Debug, Clone, Copy)]
 pub struct PackedScoreKernel<'a> {
     /// The unpacked quantized model (the reference side).
     pub quantized: &'a QuantizedModel,
-    /// Its bit-plane packed counterpart (the fast side).
-    pub packed: &'a PackedQuantizedModel,
+    /// Its packed v3 image (the fast side).
+    pub packed: &'a PackedModel,
+    /// The ISA variant the fast side dispatches through.
+    pub isa: Isa,
 }
 
 impl DifferentialKernel for PackedScoreKernel<'_> {
@@ -467,7 +462,11 @@ impl DifferentialKernel for PackedScoreKernel<'_> {
     }
 
     fn fast(&self, query: &BinaryHv) -> Result<Vec<f64>, HdcError> {
-        self.packed.scores(query)
+        let mut out = Vec::new();
+        self.packed
+            .view()
+            .scores_into_with(query, kernel_set(self.isa)?, &mut out)?;
+        Ok(out)
     }
 
     fn reference(&self, query: &BinaryHv) -> Result<Vec<f64>, HdcError> {
@@ -505,34 +504,6 @@ impl DifferentialKernel for HammingKernel {
 
     fn reference(&self, input: &(BinaryHv, BinaryHv)) -> Result<usize, HdcError> {
         input.0.hamming_with(&input.1, kernel_set(Isa::Portable)?)
-    }
-}
-
-/// SIMD vs portable masked bit-plane dot product
-/// ([`BinaryHv::dot_packed`]) of a binarized query against one packed
-/// quantized class row.
-#[derive(Debug, Clone, Copy)]
-pub struct PackedDotKernel {
-    /// The ISA variant under test (the fast side).
-    pub isa: Isa,
-}
-
-impl DifferentialKernel for PackedDotKernel {
-    type Input = (BinaryHv, PackedInts);
-    type Output = i64;
-
-    fn entry(&self) -> &'static OracleEntry {
-        lookup("dot_packed_simd").expect("registered")
-    }
-
-    fn fast(&self, input: &(BinaryHv, PackedInts)) -> Result<i64, HdcError> {
-        input.0.dot_packed_with(&input.1, kernel_set(self.isa)?)
-    }
-
-    fn reference(&self, input: &(BinaryHv, PackedInts)) -> Result<i64, HdcError> {
-        input
-            .0
-            .dot_packed_with(&input.1, kernel_set(Isa::Portable)?)
     }
 }
 
@@ -846,18 +817,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-
-        let quantized = QuantizedModel::from_model(&model, 4).unwrap();
-        let packed = quantized.pack().unwrap();
-        let kernel = PackedScoreKernel {
-            quantized: &quantized,
-            packed: &packed,
-        };
-        let binary = encoded[0].to_binary();
-        assert_eq!(
-            kernel.fast(&binary).unwrap(),
-            kernel.reference(&binary).unwrap()
-        );
     }
 
     #[test]
@@ -865,7 +824,8 @@ mod tests {
         let (_, model, encoded, _) = fixture();
         let a = encoded[0].to_binary();
         let b = encoded[1].to_binary();
-        let packed = PackedInts::from_values(encoded[2].values()).unwrap();
+        let quantized = QuantizedModel::from_model(&model, 4).unwrap();
+        let packed = quantized.pack().unwrap();
         let hvs: Vec<BinaryHv> = encoded.iter().map(IntHv::to_binary).collect();
         let pair = (encoded[0].clone(), encoded[1].clone());
         let opts = PredictOptions::full(model.dim());
@@ -879,12 +839,15 @@ mod tests {
                 "hamming isa={isa}"
             );
 
-            let dot_packed = PackedDotKernel { isa };
-            let input = (a.clone(), packed.clone());
+            let packed_scores = PackedScoreKernel {
+                quantized: &quantized,
+                packed: &packed,
+                isa,
+            };
             assert_eq!(
-                dot_packed.fast(&input).unwrap(),
-                dot_packed.reference(&input).unwrap(),
-                "dot_packed isa={isa}"
+                packed_scores.fast(&a).unwrap(),
+                packed_scores.reference(&a).unwrap(),
+                "packed_scores isa={isa}"
             );
 
             let bundle = BundleKernel { isa };

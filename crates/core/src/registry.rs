@@ -49,12 +49,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::io::{write_packed, PackedLayout, ReadModelError};
+use crate::io::{write_packed, ReadModelError};
 use crate::ledger::{
     valid_tenant_name, FsckReport, GenerationRecord, Ledger, LedgerFs, RecoveryOutcome,
 };
 use crate::mapped::Mapping;
-use crate::quant::{PackedModelView, QuantizedModel};
+use crate::quant::{PackedModel, PackedModelView, QuantizedModel};
 use crate::runtime::RetryPolicy;
 use crate::{HdcError, IdMemory};
 
@@ -240,35 +240,15 @@ pub struct RegistryStats {
     pub tmp_sweeps: u64,
 }
 
-/// One validated, mapped tenant model. Owned by `Arc`: the registry
-/// holds one reference while resident, every in-flight request holds
-/// another — the mapping unmaps when the last one drops.
-#[derive(Debug)]
-struct TenantEntry {
-    bytes: Mapping,
-    layout: PackedLayout,
-}
-
-impl TenantEntry {
-    fn view(&self) -> PackedModelView<'_> {
-        // The cheap invariants cannot fail: `layout` was validated
-        // against these exact bytes at load, and the mapping base is
-        // 64-byte aligned by construction. Degrade to the full check
-        // (which reports the typed error) rather than unwrap.
-        #[allow(clippy::redundant_closure_for_method_calls)]
-        match PackedModelView::with_layout(&self.bytes, self.layout) {
-            Ok(view) => view,
-            Err(_) => unreachable!("entry bytes were validated at load"),
-        }
-    }
-}
-
 /// A clonable, thread-safe reference to one tenant's mapped model,
-/// pinned against eviction and hot-swap for as long as it lives.
+/// pinned against eviction and hot-swap for as long as it lives. The
+/// model is owned by `Arc`: the registry holds one reference while
+/// resident, every in-flight request holds another — the mapping
+/// unmaps when the last one drops.
 #[derive(Debug, Clone)]
 pub struct TenantHandle {
     tenant: Arc<str>,
-    entry: Arc<TenantEntry>,
+    model: Arc<PackedModel>,
 }
 
 impl TenantHandle {
@@ -279,23 +259,23 @@ impl TenantHandle {
 
     /// The zero-copy scoring view over the pinned mapping.
     pub fn view(&self) -> PackedModelView<'_> {
-        self.entry.view()
+        self.model.view()
     }
 
     /// Resident bytes this mapping accounts for.
     pub fn len_bytes(&self) -> usize {
-        self.entry.bytes.len()
+        self.model.bytes().len()
     }
 
     /// Whether the pinned region is a real OS memory mapping.
     pub fn is_mmap(&self) -> bool {
-        self.entry.bytes.is_mmap()
+        self.model.is_mmap()
     }
 }
 
 #[derive(Debug)]
 struct Resident {
-    entry: Arc<TenantEntry>,
+    model: Arc<PackedModel>,
     last_used: u64,
 }
 
@@ -460,7 +440,7 @@ impl ModelRegistry {
             if let Some((name, resident)) = state.resident.get_key_value(tenant) {
                 let handle = TenantHandle {
                     tenant: Arc::clone(name),
-                    entry: Arc::clone(&resident.entry),
+                    model: Arc::clone(&resident.model),
                 };
                 let name = Arc::clone(name);
                 if let Some(resident) = state.resident.get_mut(&name) {
@@ -483,13 +463,13 @@ impl ModelRegistry {
         let Some((live, path)) = ledger.live_path(tenant) else {
             return Err(RegistryError::NotFound(tenant.to_owned()));
         };
-        let (entry, _gen) = match self.load(&path) {
-            Ok(entry) => (entry, live),
+        let (model, _gen) = match self.load(&path) {
+            Ok(model) => (model, live),
             Err(LoadError::Missing) => return Err(RegistryError::NotFound(tenant.to_owned())),
             Err(LoadError::Io(e)) => return Err(RegistryError::Io(e)),
             Err(LoadError::Invalid(reason)) => {
                 match self.auto_rollback(&mut ledger, tenant, live) {
-                    Some((entry, gen)) => (entry, gen),
+                    Some((model, gen)) => (model, gen),
                     None => {
                         let mut state = lock_state(&self.state);
                         state.stats.quarantines += 1;
@@ -503,7 +483,7 @@ impl ModelRegistry {
             }
         };
         drop(ledger);
-        let needed = entry.bytes.len();
+        let needed = model.bytes().len();
         if needed > self.config.byte_budget {
             return Err(RegistryError::BudgetTooSmall {
                 needed,
@@ -511,11 +491,11 @@ impl ModelRegistry {
             });
         }
         let mut state = lock_state(&self.state);
-        // Another thread may have raced the load; prefer its entry.
+        // Another thread may have raced the load; prefer its model.
         if let Some((name, resident)) = state.resident.get_key_value(tenant) {
             let handle = TenantHandle {
                 tenant: Arc::clone(name),
-                entry: Arc::clone(&resident.entry),
+                model: Arc::clone(&resident.model),
             };
             state.stats.hits += 1;
             return Ok(handle);
@@ -524,16 +504,16 @@ impl ModelRegistry {
         state.tick += 1;
         let tick = state.tick;
         let name: Arc<str> = Arc::from(tenant);
-        let entry = Arc::new(entry);
+        let model = Arc::new(model);
         let handle = TenantHandle {
             tenant: Arc::clone(&name),
-            entry: Arc::clone(&entry),
+            model: Arc::clone(&model),
         };
         state.resident_bytes += needed;
         state.resident.insert(
             name,
             Resident {
-                entry,
+                model,
                 last_used: tick,
             },
         );
@@ -543,25 +523,25 @@ impl ModelRegistry {
 
     /// Walks the retained generations below `live`, newest first, and
     /// commits the first one that fully validates. Returns the loaded
-    /// entry and its generation, or `None` when nothing validates.
+    /// model and its generation, or `None` when nothing validates.
     fn auto_rollback(
         &self,
         ledger: &mut Ledger,
         tenant: &str,
         live: u64,
-    ) -> Option<(TenantEntry, u64)> {
+    ) -> Option<(PackedModel, u64)> {
         for gen in ledger.retained_below(tenant, live).into_iter().rev() {
             let path = ledger.gen_path(tenant, gen);
-            if let Ok(entry) = self.load(&path) {
+            if let Ok(model) = self.load(&path) {
                 // Commit the reverted live generation; a failed commit
                 // (reader role, injected fault) still serves the valid
-                // entry — the in-memory manifest reverts and the next
+                // model — the in-memory manifest reverts and the next
                 // miss retries the commit.
                 let _ = ledger.commit_live(tenant, gen);
                 let mut state = lock_state(&self.state);
                 state.stats.rollbacks += 1;
                 state.quarantined.remove(tenant);
-                return Some((entry, gen));
+                return Some((model, gen));
             }
         }
         None
@@ -573,7 +553,7 @@ impl ModelRegistry {
     /// configured [`RetryPolicy`]), full validation of the staged
     /// image, then the CRC'd manifest commit — which is the publish's
     /// commit point: a crash anywhere earlier leaves the previous
-    /// generation live. On success the resident entry is republished
+    /// generation live. On success the resident model is republished
     /// and any quarantine lifted; readers holding the previous
     /// [`TenantHandle`] keep serving the old mapping until they drop
     /// it. Returns the committed generation number.
@@ -645,8 +625,8 @@ impl ModelRegistry {
         }
         // Validate the staged image *before* the manifest moves: a bad
         // image is discarded and the previous generation stays live.
-        let entry = match self.load(&path) {
-            Ok(entry) => Arc::new(entry),
+        let model = match self.load(&path) {
+            Ok(model) => Arc::new(model),
             Err(e) => {
                 let _ = std::fs::remove_file(&path);
                 let reason = match e {
@@ -665,7 +645,7 @@ impl ModelRegistry {
         let commit_retries = ledger.commit_live(tenant, gen)?;
         drop(ledger);
 
-        let needed = entry.bytes.len();
+        let needed = model.bytes().len();
         if needed > self.config.byte_budget {
             return Err(RegistryError::BudgetTooSmall {
                 needed,
@@ -679,13 +659,13 @@ impl ModelRegistry {
         let tick = state.tick;
         state.stats.swaps += 1;
         if let Some(old) = state.resident.remove(tenant) {
-            state.resident_bytes -= old.entry.bytes.len();
+            state.resident_bytes -= old.model.bytes().len();
         }
         state.resident_bytes += needed;
         state.resident.insert(
             Arc::from(tenant),
             Resident {
-                entry,
+                model,
                 last_used: tick,
             },
         );
@@ -697,7 +677,7 @@ impl ModelRegistry {
     /// live when `to` is `None`, else exactly generation `to`. The
     /// target must pass full validation; with `to = None` the walk
     /// skips corrupt candidates. Commits the manifest, drops the
-    /// resident entry (in-flight handles keep the old mapping), and
+    /// resident model (in-flight handles keep the old mapping), and
     /// lifts any quarantine. Returns the now-live generation.
     ///
     /// # Errors
@@ -749,7 +729,7 @@ impl ModelRegistry {
         state.stats.rollbacks += 1;
         state.quarantined.remove(tenant);
         if let Some(old) = state.resident.remove(tenant) {
-            state.resident_bytes -= old.entry.bytes.len();
+            state.resident_bytes -= old.model.bytes().len();
         }
         Ok(target)
     }
@@ -774,7 +754,7 @@ impl ModelRegistry {
         let mut state = lock_state(&self.state);
         for tenant in &changed {
             if let Some(old) = state.resident.remove(tenant.as_str()) {
-                state.resident_bytes -= old.entry.bytes.len();
+                state.resident_bytes -= old.model.bytes().len();
             }
             state.quarantined.remove(tenant);
         }
@@ -823,7 +803,7 @@ impl ModelRegistry {
         let mut state = lock_state(&self.state);
         match state.resident.remove(tenant) {
             Some(old) => {
-                state.resident_bytes -= old.entry.bytes.len();
+                state.resident_bytes -= old.model.bytes().len();
                 state.stats.evictions += 1;
                 true
             }
@@ -897,30 +877,27 @@ impl ModelRegistry {
         Ok(out)
     }
 
-    fn load(&self, path: &Path) -> Result<TenantEntry, LoadError> {
+    fn load(&self, path: &Path) -> Result<PackedModel, LoadError> {
         let bytes = match Mapping::map_file(path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(LoadError::Missing),
             Err(e) => return Err(LoadError::Io(e)),
         };
-        let layout = PackedLayout::validate(&bytes).map_err(|e| invalid(&e))?;
+        let model = PackedModel::from_mapping(bytes).map_err(|e| invalid(&e))?;
         // Pruned images are keyed by the dimensionality queries arrive
         // at (the parent space), not the compacted support size.
-        if layout.parent_dim() != self.config.dim {
+        let parent_dim = model.view().parent_dim();
+        if parent_dim != self.config.dim {
             return Err(LoadError::Invalid(format!(
-                "model dimensionality {} does not match the registry's {}",
-                layout.parent_dim(),
+                "model dimensionality {parent_dim} does not match the registry's {}",
                 self.config.dim
             )));
         }
-        // Prove the view is constructible (alignment) before the entry
-        // is ever handed out.
-        PackedModelView::with_layout(&bytes, layout).map_err(|e| invalid(&e))?;
-        Ok(TenantEntry { bytes, layout })
+        Ok(model)
     }
 
     /// Evicts least-recently-used residents until the budget holds,
-    /// never evicting `keep` (the entry just loaded for the caller).
+    /// never evicting `keep` (the model just loaded for the caller).
     fn evict_to_budget(state: &mut State, budget: usize, keep: Option<&str>) {
         while state.resident_bytes > budget {
             let victim = state
@@ -933,7 +910,7 @@ impl ModelRegistry {
                 break;
             };
             if let Some(old) = state.resident.remove(&victim) {
-                state.resident_bytes -= old.entry.bytes.len();
+                state.resident_bytes -= old.model.bytes().len();
                 state.stats.evictions += 1;
             }
         }
@@ -992,6 +969,11 @@ mod tests {
         QuantizedModel::from_model(&model, 8).unwrap()
     }
 
+    /// The scalar oracle every mapped score is pinned against.
+    fn scalar_scores(model: &QuantizedModel, query: &BinaryHv) -> Vec<f64> {
+        model.scores(&IntHv::from(query.clone()))
+    }
+
     fn config(dim: usize, budget: usize) -> RegistryConfig {
         RegistryConfig {
             byte_budget: budget,
@@ -1011,11 +993,11 @@ mod tests {
         let handle = registry.get("acme").unwrap();
         let query = BinaryHv::random_seeded(512, 99).unwrap();
         let mapped = handle.view().scores(&query).unwrap();
-        let heap = model.pack().unwrap().scores(&query).unwrap();
+        let scalar = scalar_scores(&model, &query);
         assert_eq!(
             mapped.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            heap.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            "mapped scores must be bit-identical to the heap path"
+            scalar.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            "mapped scores must be bit-identical to the scalar oracle"
         );
         assert_eq!(registry.stats().hits + registry.stats().cold_loads, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1133,8 +1115,8 @@ mod tests {
         let query = BinaryHv::random_seeded(512, 17).unwrap();
         let old_scores = pinned.view().scores(&query).unwrap();
         let new_scores = fresh.view().scores(&query).unwrap();
-        let old_oracle = model.pack().unwrap().scores(&query).unwrap();
-        let new_oracle = replacement.pack().unwrap().scores(&query).unwrap();
+        let old_oracle = scalar_scores(&model, &query);
+        let new_oracle = scalar_scores(&replacement, &query);
         assert_eq!(old_scores, old_oracle, "pinned reader sees the old model");
         assert_eq!(new_scores, new_oracle, "fresh reader sees the swap");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1165,7 +1147,7 @@ mod tests {
         let handle = registry.get("acme").unwrap();
         let query = BinaryHv::random_seeded(512, 77).unwrap();
         let served = handle.view().scores(&query).unwrap();
-        let oracle = good.pack().unwrap().scores(&query).unwrap();
+        let oracle = scalar_scores(&good, &query);
         assert_eq!(served, oracle, "prior generation serves bit-identically");
         assert_eq!(registry.stats().rollbacks, 1);
         assert!(registry.quarantined().is_empty());
@@ -1223,7 +1205,7 @@ mod tests {
         let query = BinaryHv::random_seeded(512, 55).unwrap();
         assert_eq!(
             handle.view().scores(&query).unwrap(),
-            first.pack().unwrap().scores(&query).unwrap(),
+            scalar_scores(&first, &query),
             "rollback serves the first model"
         );
         assert!(matches!(
@@ -1259,7 +1241,7 @@ mod tests {
         let query = BinaryHv::random_seeded(512, 66).unwrap();
         assert_eq!(
             handle.view().scores(&query).unwrap(),
-            model.pack().unwrap().scores(&query).unwrap(),
+            scalar_scores(&model, &query),
             "last-good generation survives the crash"
         );
         assert!(!dir.join("acme.g2.ghdc.tmp").exists());
@@ -1300,7 +1282,7 @@ mod tests {
         ));
         let query = BinaryHv::random_seeded(512, 88).unwrap();
         let seen = reader.get("acme").unwrap().view().scores(&query).unwrap();
-        assert_eq!(seen, first.pack().unwrap().scores(&query).unwrap());
+        assert_eq!(seen, scalar_scores(&first, &query));
 
         let second = sample_model(512, 82);
         writer.publish("acme", &second).unwrap();
@@ -1308,7 +1290,7 @@ mod tests {
         let seen = reader.get("acme").unwrap().view().scores(&query).unwrap();
         assert_eq!(
             seen,
-            second.pack().unwrap().scores(&query).unwrap(),
+            scalar_scores(&second, &query),
             "reader refreshes to the cross-process publish"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -128,13 +128,6 @@ pub enum RuntimeError {
     NoSuchGeneration(u64),
     /// The sanitizer quarantined the sample instead of processing it.
     Rejected(RejectReason),
-    /// The request was shed: even the narrowest degradation tier is
-    /// estimated to blow the deadline (only with
-    /// [`RuntimeConfig::shed_hopeless`]).
-    DeadlineShed {
-        /// The budget the request carried.
-        budget: Duration,
-    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -146,12 +139,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::NoCheckpoint => write!(f, "no intact checkpoint found"),
             RuntimeError::NoSuchGeneration(g) => write!(f, "no checkpoint generation {g}"),
             RuntimeError::Rejected(r) => write!(f, "sample quarantined: {r}"),
-            RuntimeError::DeadlineShed { budget } => {
-                write!(
-                    f,
-                    "request shed: {budget:?} budget below the degradation floor"
-                )
-            }
         }
     }
 }
@@ -723,7 +710,7 @@ impl DegradationLadder {
     }
 
     /// True when even the narrowest tier's estimate exceeds
-    /// `budget_ns` — the request is hopeless and may be shed.
+    /// `budget_ns` — the request is hopeless even fully degraded.
     pub fn hopeless(&self, budget_ns: u64) -> bool {
         matches!(self.estimate_ns(0), Some(est) if est > budget_ns as f64)
     }
@@ -826,10 +813,6 @@ pub struct RuntimeConfig {
     pub checkpoint_every: u64,
     /// EWMA smoothing factor of the ladder's latency estimates.
     pub ladder_alpha: f64,
-    /// Shed requests whose budget is below even the narrowest tier's
-    /// estimate instead of serving them late. Off by default: answer
-    /// degraded and count the deadline miss.
-    pub shed_hopeless: bool,
     /// Replay-buffer capacity (recent clean labeled samples, encoded;
     /// the corpus drift-triggered retraining runs on).
     pub replay_capacity: usize,
@@ -861,8 +844,6 @@ pub struct RuntimeConfig {
     /// Roll back to the previous checkpoint generation when held-out
     /// accuracy drops more than this below the last checkpoint's.
     pub rollback_threshold: f64,
-    /// Retry policy for checkpoint writes.
-    pub retry: RetryPolicy,
 }
 
 impl Default for RuntimeConfig {
@@ -870,7 +851,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             checkpoint_every: 256,
             ladder_alpha: 0.2,
-            shed_hopeless: false,
             replay_capacity: 1024,
             holdout_capacity: 256,
             holdout_every: 10,
@@ -882,7 +862,6 @@ impl Default for RuntimeConfig {
             retrain_epochs: 3,
             retrain_threads: 1,
             rollback_threshold: 0.05,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -899,8 +878,6 @@ pub struct RuntimeStats {
     pub degraded: u64,
     /// Answers that still blew their budget.
     pub deadline_misses: u64,
-    /// Requests shed without an answer (only with `shed_hopeless`).
-    pub shed: u64,
     /// Malformed inference requests rejected by the sanitizer.
     pub rejected: u64,
     /// Labeled samples folded into the model.
@@ -938,7 +915,6 @@ impl RuntimeStats {
             answered,
             degraded,
             deadline_misses,
-            shed,
             rejected,
             learned,
             held_out,
@@ -955,7 +931,6 @@ impl RuntimeStats {
         self.answered += answered;
         self.degraded += degraded;
         self.deadline_misses += deadline_misses;
-        self.shed += shed;
         self.rejected += rejected;
         self.learned += learned;
         self.held_out += held_out;
@@ -1396,9 +1371,7 @@ impl OnlineRuntime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Rejected`] for malformed input;
-    /// [`RuntimeError::DeadlineShed`] when shedding is enabled and even
-    /// the narrowest tier cannot meet the budget.
+    /// [`RuntimeError::Rejected`] for malformed input.
     pub fn infer(
         &mut self,
         features: &[f64],
@@ -1410,16 +1383,6 @@ impl OnlineRuntime {
             return Err(RuntimeError::Rejected(reason));
         }
         let budget_ns = budget.map(|b| u64::try_from(b.as_nanos()).unwrap_or(u64::MAX));
-        if self.config.shed_hopeless {
-            if let Some(b) = budget_ns {
-                if self.ladder.hopeless(b) {
-                    self.stats.shed += 1;
-                    return Err(RuntimeError::DeadlineShed {
-                        budget: budget.unwrap_or_default(),
-                    });
-                }
-            }
-        }
         let tier = self.ladder.choose(budget_ns);
         let dims = self.ladder.dims(tier);
         let opts = PredictOptions::reduced(dims, NormMode::Updated);
@@ -1470,8 +1433,6 @@ impl OnlineRuntime {
         }
         self.stats.infer_requests += batch.len() as u64;
         let budget_ns = budget.map(|b| u64::try_from(b.as_nanos()).unwrap_or(u64::MAX));
-        let shed_all =
-            self.config.shed_hopeless && budget_ns.is_some_and(|b| self.ladder.hopeless(b));
         let tier = self.ladder.choose(budget_ns);
         let dims = self.ladder.dims(tier);
         let opts = PredictOptions::reduced(dims, NormMode::Updated);
@@ -1484,13 +1445,6 @@ impl OnlineRuntime {
             if let Err(reason) = self.sanitize(features, None) {
                 self.stats.rejected += 1;
                 out.push(Err(RuntimeError::Rejected(reason)));
-                continue;
-            }
-            if shed_all {
-                self.stats.shed += 1;
-                out.push(Err(RuntimeError::DeadlineShed {
-                    budget: budget.unwrap_or_default(),
-                }));
                 continue;
             }
             match self.pipeline.encode(features) {

@@ -6,25 +6,47 @@
 //! perform **zero** heap allocations. This pins the zero-allocation
 //! contract of the serve hot path: any accidental per-call `Vec` or
 //! boxed temporary on the tile loop shows up here as a test failure.
+//!
+//! Only the measuring thread is counted, so tests running in parallel
+//! never see each other's setup allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use generic_hdc::io::write_packed;
-use generic_hdc::{
-    HdcModel, IntHv, Mapping, NormMode, PackedModelView, PredictOptions, QuantizedModel, ScoreBatch,
-};
+use generic_hdc::{HdcModel, IntHv, NormMode, PredictOptions, QuantizedModel, ScoreBatch};
 
 /// Forwards to the system allocator while counting every allocation
 /// event (fresh allocations and reallocations; frees are not counted
-/// because a steady-state loop that frees must first have allocated).
+/// because a steady-state loop that frees must first have allocated)
+/// made by a thread inside [`count_allocations`].
 struct CountingAlloc;
 
-static ALLOCATION_EVENTS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread is inside a measured window, and the events
+    /// counted there. Const-initialized, so the allocator reading them
+    /// never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn record_allocation() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        EVENTS.with(|events| events.set(events.get() + 1));
+    }
+}
+
+/// Allocation events `f` causes on the calling thread.
+fn count_allocations(f: impl FnOnce()) -> u64 {
+    EVENTS.with(|events| events.set(0));
+    ARMED.with(|armed| armed.set(true));
+    f();
+    ARMED.with(|armed| armed.set(false));
+    EVENTS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATION_EVENTS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         // SAFETY: forwarded verbatim to the system allocator with the
         // caller's layout; the GlobalAlloc contract is inherited.
         unsafe { System.alloc(layout) }
@@ -37,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATION_EVENTS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         // SAFETY: forwarded verbatim; `ptr`/`layout` obey the contract
         // the caller already guarantees to GlobalAlloc.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -92,18 +114,17 @@ fn batched_scoring_steady_state_allocates_nothing() {
         batch.predict_into(&model, &queries, opts, &mut preds);
     }
 
-    let before = ALLOCATION_EVENTS.load(Ordering::SeqCst);
-    for _ in 0..16 {
-        for opts in variants {
-            batch.scores_into(&model, &queries, opts, &mut scores);
-            batch.predict_into(&model, &queries, opts, &mut preds);
+    let allocations = count_allocations(|| {
+        for _ in 0..16 {
+            for opts in variants {
+                batch.scores_into(&model, &queries, opts, &mut scores);
+                batch.predict_into(&model, &queries, opts, &mut preds);
+            }
         }
-    }
-    let after = ALLOCATION_EVENTS.load(Ordering::SeqCst);
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "steady-state batched scoring must not touch the heap"
     );
     assert_eq!(scores.len(), n_queries * n_classes);
@@ -121,11 +142,10 @@ fn mapped_view_scoring_steady_state_allocates_nothing() {
         .collect();
     let labels: Vec<usize> = (0..encoded.len()).map(|i| i % n_classes).collect();
     let model = HdcModel::fit(&encoded, &labels, n_classes).expect("fit");
-    let quantized = QuantizedModel::from_model(&model, 8).expect("quantize");
-    let mut bytes = Vec::new();
-    write_packed(&quantized, &mut bytes).expect("vec write cannot fail");
-    let mapping = Mapping::from_bytes(&bytes).expect("aligned copy allocates");
-    let view = PackedModelView::new(&mapping).expect("sealed v3 image");
+    let packed = QuantizedModel::from_model(&model, 8)
+        .and_then(|q| q.pack())
+        .expect("quantize and pack");
+    let view = packed.view();
 
     let queries: Vec<_> = (0..37)
         .map(|_| random_hv(dim, &mut state).to_binary())
@@ -138,17 +158,16 @@ fn mapped_view_scoring_steady_state_allocates_nothing() {
         view.scores_into(query, &mut scores).expect("dim matches");
     }
 
-    let before = ALLOCATION_EVENTS.load(Ordering::SeqCst);
-    for _ in 0..16 {
-        for query in &queries {
-            view.scores_into(query, &mut scores).expect("dim matches");
+    let allocations = count_allocations(|| {
+        for _ in 0..16 {
+            for query in &queries {
+                view.scores_into(query, &mut scores).expect("dim matches");
+            }
         }
-    }
-    let after = ALLOCATION_EVENTS.load(Ordering::SeqCst);
+    });
 
     assert_eq!(
-        after - before,
-        0,
+        allocations, 0,
         "steady-state mapped-view scoring must not touch the heap"
     );
     assert_eq!(scores.len(), n_classes);

@@ -2,9 +2,10 @@
 //! algebraic invariants the GENERIC encoding relies on.
 
 use generic_hdc::encoding::{Encoder, GenericEncoder, GenericEncoderSpec};
+use generic_hdc::kernels;
 use generic_hdc::{
-    BinaryHv, BitSliceAccumulator, HdcModel, IntHv, LevelMemory, NormMode, PackedInts,
-    PredictOptions, QuantizedModel, Quantizer,
+    BinaryHv, BitSliceAccumulator, HdcModel, IntHv, LevelMemory, NormMode, PredictOptions,
+    QuantizedModel, Quantizer,
 };
 use proptest::prelude::*;
 
@@ -261,28 +262,40 @@ proptest! {
         }
     }
 
-    /// The packed sign/magnitude dot product equals the scalar reference
-    /// for every quantization width 1..=16 (values spanning the full
-    /// signed range of the width, including non-multiple-of-64 dims).
+    /// Packed sign/magnitude scoring through the v3 view equals the
+    /// scalar quantized reference on every dispatched ISA, for every
+    /// quantization width 1..=16 (values spanning the full signed range
+    /// of the width, the range's extremes, and an all-zero class,
+    /// including non-multiple-of-64 dims).
     #[test]
     fn packed_dot_matches_scalar(
         dim in arb_dim(),
         seed in any::<u64>(),
-        bw in 1u32..=16,
+        bw in 1u8..=16,
     ) {
         let query = BinaryHv::random_seeded(dim, seed).unwrap();
         let hi = (1i64 << (bw - 1)) - 1;
         let hi = if bw == 1 { 1 } else { hi };
+        let lo = if bw == 1 { -1 } else { -hi - 1 };
         let span = 2 * hi + 1;
-        let values: Vec<i32> = (0..dim as i64)
-            .map(|i| ((i.wrapping_mul(2_654_435_761) + seed as i64 % 1_000_003).rem_euclid(span) - hi) as i32)
+        let values: Vec<i16> = (0..dim as i64)
+            .map(|i| ((i.wrapping_mul(2_654_435_761) + seed as i64 % 1_000_003).rem_euclid(span) - hi) as i16)
             .collect();
-        let packed = PackedInts::from_values(&values).unwrap();
-        prop_assert_eq!(packed.dim(), dim);
-        prop_assert_eq!(
-            query.dot_packed(&packed).unwrap(),
-            query.dot_int(&values).unwrap()
-        );
+        let extremes: Vec<i16> = (0..dim)
+            .map(|i| if i % 2 == 0 { hi as i16 } else { lo as i16 })
+            .collect();
+        let model = QuantizedModel::from_parts(dim, bw, vec![values, extremes, vec![0; dim]]).unwrap();
+        let packed = model.pack().unwrap();
+        prop_assert_eq!(packed.view().dim(), dim);
+        let reference = model.scores(&IntHv::from(query.clone()));
+        for isa in kernels::available() {
+            let mut fast = Vec::new();
+            packed
+                .view()
+                .scores_into_with(&query, kernels::for_isa(isa).unwrap(), &mut fast)
+                .unwrap();
+            prop_assert_eq!(&fast, &reference, "isa={}", isa);
+        }
     }
 
     /// Blocked class scoring (cache-blocked, sub-norm-chunk reuse) is

@@ -480,7 +480,7 @@ fn drain_refuses_new_work() {
 /// typed reason.
 #[test]
 fn tenant_requests_score_their_mapped_models() {
-    use generic_hdc::{ModelRegistry, QuantizedModel, RegistryConfig};
+    use generic_hdc::{IntHv, ModelRegistry, QuantizedModel, RegistryConfig};
     use std::sync::Arc;
 
     let dir = TempDir::new("tenant");
@@ -550,19 +550,15 @@ fn tenant_requests_score_their_mapped_models() {
             .expect("tenant answers carry the pin");
         assert_eq!(pinned.tenant(), name, "request {i} routed wrong");
         assert!(!answer.degraded, "mapped scoring is full-width");
-        // Replay through the heap oracle: encode with the server's own
-        // snapshot, score the packed model, demand the same label.
+        // Replay through the scalar oracle: encode with the server's own
+        // snapshot, score the quantized model, demand the same label.
         let query = answer
             .snapshot
             .pipeline()
             .encode(&sample_features(i))
             .expect("clean row")
             .to_binary();
-        let scores = oracle_model
-            .pack()
-            .expect("packs")
-            .scores(&query)
-            .expect("scores");
+        let scores = oracle_model.scores(&IntHv::from(query.clone()));
         let mut oracle = 0usize;
         let mut best = f64::NEG_INFINITY;
         for (c, &s) in scores.iter().enumerate() {

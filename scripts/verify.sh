@@ -55,4 +55,14 @@ echo "==> registry bench smoke (portable kernels forced)"
 GENERIC_FORCE_PORTABLE=1 \
   cargo run -p generic-bench --release --locked --quiet --bin registry -- --smoke
 
+# benchmark/ has its own [workspace], so nothing above builds it.
+echo "==> benchmark package tests"
+cargo test --offline --manifest-path benchmark/Cargo.toml --quiet
+
+echo "==> benchmark package clippy -D warnings"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
+echo "==> benchmark smoke run (every workload over GNET)"
+cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- run --all --smoke
+
 echo "All checks passed."

@@ -159,6 +159,9 @@ fn packed_v3_fixture_round_trips_byte_exact() {
             rewritten, bytes,
             "{name}: v3 serialization is no longer canonical"
         );
+        // The owned packed form is the same image, byte for byte.
+        let packed = expected.pack().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(packed.bytes(), &bytes[..], "{name}: pack() drifted from v3");
     }
 }
 
@@ -218,14 +221,13 @@ fn packed_v3_fixture_serves_through_the_mapped_view() {
     let bytes = fixture("packed_v3.ghdc");
     let mapping = Mapping::from_bytes(&bytes).expect("aligned copy allocates");
     let view = PackedModelView::new(&mapping).expect("fixture is servable");
-    let packed = golden_quantized().pack().expect("packs");
     let query = generic_hdc::BinaryHv::random_seeded(8, 7).expect("dim > 0");
     let mapped = view.scores(&query).expect("mapped scores");
-    let heap = packed.scores(&query).expect("heap scores");
+    let scalar = golden_quantized().scores(&IntHv::from(query));
     assert_eq!(
         mapped.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-        heap.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-        "fixture scores must be bit-identical to the heap path"
+        scalar.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+        "fixture scores must be bit-identical to the scalar oracle"
     );
 }
 
