@@ -137,15 +137,6 @@ fn bench_isa_primitives(c: &mut Criterion) {
         .map(|i| ((i * 13 + 5) % 17 - 8) as i32)
         .collect();
 
-    let mut group = c.benchmark_group("isa_hamming_4096");
-    for isa in kernels::available() {
-        let set = kernels::for_isa(isa).expect("listed by available()");
-        group.bench_function(BenchmarkId::from_parameter(isa), |b| {
-            b.iter(|| black_box(set.hamming(black_box(&a_bits), black_box(&b_bits))))
-        });
-    }
-    group.finish();
-
     let mut group = c.benchmark_group("isa_masked_popcount_4096");
     for isa in kernels::available() {
         let set = kernels::for_isa(isa).expect("listed by available()");

@@ -29,8 +29,8 @@ use generic_hdc::encoding::{Encoder, GenericEncoderSpec};
 use generic_hdc::io::write_packed;
 use generic_hdc::kernels;
 use generic_hdc::{
-    pareto_search, CompressOptions, CompressionOutcome, HdcPipeline, IntHv, Mapping, ModelRegistry,
-    PackedModelView, ParetoPoint, QuantizedModel, RegistryConfig,
+    pareto_search, CompressOptions, CompressionOutcome, HdcPipeline, IntHv, ModelRegistry,
+    ParetoPoint, QuantizedModel, RegistryConfig,
 };
 
 struct Config {
@@ -130,9 +130,8 @@ fn evaluate(bench: Benchmark, config: &Config, seed: u64) -> DatasetResult {
 
     // Cross-ISA bit-identity of the chosen image against the scalar
     // pruned oracle, with full-width queries (what serving receives).
-    let image = outcome.chosen.image_bytes().expect("chosen serializes");
-    let mapping = Mapping::from_bytes(&image).expect("image maps");
-    let view = PackedModelView::new(&mapping).expect("sealed image");
+    let packed = outcome.chosen.pack().expect("chosen packs");
+    let view = packed.view();
     let mut identity_checks = 0u64;
     let mut identity_ok = true;
     for hv in test.iter().take(6) {

@@ -313,17 +313,17 @@ fn main() {
     let newest_gen = runtime.generation();
     let prev_gen = newest_gen - 1;
     drop(runtime);
-    let newest_path = dir.join(format!("ckpt-{newest_gen:020}.ghdc"));
+    let store = open_store(&dir);
+    let newest_path = store.path(newest_gen);
     let mut bytes = std::fs::read(&newest_path).expect("newest generation readable");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x20; // a single flipped bit mid-payload
     std::fs::write(&newest_path, &bytes).expect("scratch dir writable");
 
-    // Keep a clone of the store: it shares the retry/injection counters
-    // with the runtime's copy, so scenario 5 can inject checkpoint
-    // write failures into the live writer from outside.
-    let store = open_store(&dir);
-    let chaos_store = store.clone();
+    // Keep a handle on the store's fs layer: it shares its injection
+    // counters with the runtime's store, so scenario 5 can inject
+    // checkpoint write failures into the live writer from outside.
+    let chaos_fs = store.fs();
     let (recovered, report) = match OnlineRuntime::recover(store, rt_config) {
         Ok(pair) => pair,
         Err(e) => {
@@ -460,7 +460,7 @@ fn main() {
     std::panic::set_hook(Box::new(|info| {
         eprintln!("(chaos) worker panic caught by supervisor: {info}");
     }));
-    chaos_store.inject_write_failures(2); // absorbed by the 3-attempt retry budget
+    chaos_fs.fail_next(FsOp::Create, 2); // absorbed by the 3-attempt retry budget
     let server = Server::start(runtime, serve_config).expect("server starts");
     let handle = server.handle();
 

@@ -111,7 +111,6 @@ struct BatchPoint {
 
 struct IsaSpeedups {
     isa: Isa,
-    hamming: f64,
     masked_popcount: f64,
     ripple_step: f64,
     dot_i32: f64,
@@ -228,22 +227,15 @@ fn main() {
 
     // --- raw kernel primitives, every detected ISA vs portable ---
     let isa_speedups = measure_isas(&config, seed);
-    let header: Vec<String> = [
-        "isa",
-        "hamming",
-        "masked_popcount",
-        "ripple_step",
-        "dot_i32",
-    ]
-    .iter()
-    .map(|s| (*s).to_string())
-    .collect();
+    let header: Vec<String> = ["isa", "masked_popcount", "ripple_step", "dot_i32"]
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect();
     let rows: Vec<Vec<String>> = isa_speedups
         .iter()
         .map(|s| {
             vec![
                 s.isa.to_string(),
-                format!("{:.2}x", s.hamming),
                 format!("{:.2}x", s.masked_popcount),
                 format!("{:.2}x", s.ripple_step),
                 format!("{:.2}x", s.dot_i32),
@@ -323,14 +315,9 @@ fn measure_isas(config: &Config, seed: u64) -> Vec<IsaSpeedups> {
     let plane0: Vec<u64> = (0..words).map(|_| splitmix64(&mut state)).collect();
     let carry0: Vec<u64> = (0..words).map(|_| splitmix64(&mut state)).collect();
 
-    let time_set = |set: &'static KernelSet| -> [f64; 4] {
+    let time_set = |set: &'static KernelSet| -> [f64; 3] {
         let mut plane = vec![0u64; words];
         let mut carry = vec![0u64; words];
-        let hamming = median_ns_per_op(config.reps, config.kernel_iters, || {
-            for _ in 0..config.kernel_iters {
-                black_box(set.hamming(black_box(&a_bits), black_box(&b_bits)));
-            }
-        });
         let masked = median_ns_per_op(config.reps, config.kernel_iters, || {
             for _ in 0..config.kernel_iters {
                 black_box(set.masked_popcount(
@@ -355,7 +342,7 @@ fn measure_isas(config: &Config, seed: u64) -> Vec<IsaSpeedups> {
                 black_box(set.dot_i32(black_box(&a_ints), black_box(&b_ints)));
             }
         });
-        [hamming, masked, ripple, dot]
+        [masked, ripple, dot]
     };
 
     let portable = time_set(kernels::for_isa(Isa::Portable).expect("portable is always available"));
@@ -365,10 +352,9 @@ fn measure_isas(config: &Config, seed: u64) -> Vec<IsaSpeedups> {
             let t = time_set(kernels::for_isa(isa).expect("listed by available()"));
             IsaSpeedups {
                 isa,
-                hamming: portable[0] / t[0].max(1e-9),
-                masked_popcount: portable[1] / t[1].max(1e-9),
-                ripple_step: portable[2] / t[2].max(1e-9),
-                dot_i32: portable[3] / t[3].max(1e-9),
+                masked_popcount: portable[0] / t[0].max(1e-9),
+                ripple_step: portable[1] / t[1].max(1e-9),
+                dot_i32: portable[2] / t[2].max(1e-9),
             }
         })
         .collect()
@@ -475,10 +461,9 @@ fn render_json(
     out.push_str("  \"kernel_speedups_vs_portable\": [\n");
     for (i, s) in isa_speedups.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"isa\": \"{}\", \"hamming\": {:.3}, \"masked_popcount\": {:.3}, \
+            "    {{\"isa\": \"{}\", \"masked_popcount\": {:.3}, \
              \"ripple_step\": {:.3}, \"dot_i32\": {:.3}}}{}\n",
             s.isa,
-            s.hamming,
             s.masked_popcount,
             s.ripple_step,
             s.dot_i32,

@@ -324,7 +324,7 @@ fn compress<W: Write>(
         )?;
     }
     if let Some(path) = image_out {
-        std::fs::write(path, outcome.chosen.image_bytes()?)?;
+        std::fs::write(path, outcome.chosen.pack()?.bytes())?;
         writeln!(out, "compressed image written to {}", path.display())?;
     }
     Ok(())

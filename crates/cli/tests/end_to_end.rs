@@ -219,6 +219,41 @@ fn serve_streams_learns_and_survives_restart() {
     assert_eq!(code, 0, "recovery serve failed: {text}");
     assert!(text.contains("recovered generation"), "{text}");
 
+    // The checkpoint directory is a ledger: the registry admin verbs
+    // check it and list its retained generations.
+    let ckpt = ckpt_dir.to_str().expect("utf-8 path");
+    let mut out = Vec::new();
+    let code = run(&argv(&["registry", "fsck", "--dir", ckpt]), &mut out);
+    let text = String::from_utf8(out).expect("utf-8 output");
+    assert_eq!(code, 0, "fsck failed: {text}");
+    assert!(text.contains("fsck: healthy"), "{text}");
+    let mut out = Vec::new();
+    let code = run(
+        &argv(&["registry", "history", "--dir", ckpt, "--tenant", "ckpt"]),
+        &mut out,
+    );
+    let text = String::from_utf8(out).expect("utf-8 output");
+    assert_eq!(code, 0, "history failed: {text}");
+    let mut on_disk: Vec<String> = std::fs::read_dir(&ckpt_dir)
+        .expect("checkpoint dir readable")
+        .filter_map(|e| {
+            let name = e.expect("entry readable").file_name();
+            let gen = name
+                .to_str()?
+                .strip_prefix("ckpt.")?
+                .strip_suffix(".ghdc")?;
+            Some(gen.to_owned())
+        })
+        .collect();
+    on_disk.sort_by_key(|g| g[1..].parse::<u64>().expect("numbered generation"));
+    let listed: Vec<String> = text
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next().map(str::to_owned))
+        .collect();
+    assert!(!listed.is_empty(), "{text}");
+    assert_eq!(listed, on_disk, "{text}");
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

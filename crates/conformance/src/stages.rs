@@ -5,20 +5,19 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use generic_hdc::encoding::{Encoder, GenericEncoderSpec};
-use generic_hdc::io::read_packed;
+use generic_hdc::io::{read_packed, ReadModelError};
 use generic_hdc::kernels;
 use generic_hdc::ledger::{FsOp, LedgerFs, MANIFEST_NAME};
 use generic_hdc::net::{read_frame, Frame, NetConfig, NetFrontend, NetStatus};
 use generic_hdc::oracle::{
-    BundleKernel, DifferentialKernel, DotI32Kernel, EncodeKernel, HammingKernel, PackedScoreKernel,
-    PruneKernel, PrunedScoreKernel, RetrainKernel, SaliencyKernel, ScoreBatchKernel, ScoreKernel,
-    StageKind,
+    BundleKernel, DifferentialKernel, DotI32Kernel, EncodeKernel, PackedScoreKernel, PruneKernel,
+    PrunedScoreKernel, RetrainKernel, SaliencyKernel, ScoreBatchKernel, ScoreKernel, StageKind,
 };
 use generic_hdc::registry::{ModelRegistry, RegistryConfig};
 use generic_hdc::runtime::{CheckpointStore, OnlineRuntime, RetryPolicy, RuntimeConfig};
 use generic_hdc::{
-    BinaryHv, HdcModel, HdcPipeline, IntHv, NormMode, PredictOptions, QuantizedModel,
-    ResilienceConfig, ResilientPipeline, ServeConfig, Server,
+    BinaryHv, HdcModel, HdcPipeline, IntHv, Mapping, NormMode, PackedModel, PredictOptions,
+    QuantizedModel, ResilienceConfig, ResilientPipeline, ServeConfig, Server,
 };
 use generic_sim::{mitchell_divide_wide, Accelerator, AcceleratorConfig};
 
@@ -329,28 +328,12 @@ fn stage_score(
         }
     }
 
-    // Per-ISA sweeps: the SIMD Hamming and widening-dot primitives and
-    // the batched scoring engine against their scalar oracles, on every
-    // kernel set this host detects.
+    // Per-ISA sweeps: the SIMD widening-dot primitive and the batched
+    // scoring engine against their scalar oracles, on every kernel set
+    // `kernels::available` reports.
     for isa in kernels::available() {
-        let hamming = HammingKernel { isa };
         let dot = DotI32Kernel { isa };
         for (i, pair) in encoded.windows(2).take(4).enumerate() {
-            let name = format!("{}[{isa}]", hamming.entry().name);
-            let input = (pair[0].to_binary(), pair[1].to_binary());
-            let fast = hamming
-                .fast(&input)
-                .map_err(|e| harness_failure(STAGE, &name, &e))?;
-            let reference = hamming
-                .reference(&input)
-                .map_err(|e| harness_failure(STAGE, &name, &e))?;
-            if fast != reference {
-                return Err(Divergence {
-                    stage: STAGE,
-                    kernel: name,
-                    detail: format!("pair {i}: fast {fast} vs reference {reference}"),
-                });
-            }
             let name = format!("{}[{isa}]", dot.entry().name);
             let input = (pair[0].clone(), pair[1].clone());
             let fast = dot
@@ -366,7 +349,7 @@ fn stage_score(
                     detail: format!("pair {i}: fast {fast} vs reference {reference}"),
                 });
             }
-            coverage.add(STAGE, 2);
+            coverage.add(STAGE, 1);
         }
 
         for opts in variants {
@@ -568,7 +551,8 @@ fn checkpoint_store_cycle(
         kernel: KERNEL.to_string(),
         detail: format!("store error: {e}"),
     };
-    let store = CheckpointStore::open(dir, 2, RetryPolicy::default()).map_err(|e| io_err(&e))?;
+    let mut store =
+        CheckpointStore::open(dir, 2, RetryPolicy::default()).map_err(|e| io_err(&e))?;
     store
         .save(pipeline, 1, features.len() as u64, 0.0)
         .map_err(|e| io_err(&e))?;
@@ -1729,12 +1713,15 @@ fn compress_cycle(
     let path = registry
         .tenant_path("pruned")
         .map_err(|e| err("publish", &e))?;
-    let image = std::fs::read(&path).map_err(|e| err("publish", &e))?;
+    let packed = Mapping::map_file(&path)
+        .map_err(ReadModelError::from)
+        .and_then(PackedModel::from_mapping)
+        .map_err(|e| err("publish", &e))?;
     let queries: Vec<BinaryHv> = encoded.iter().take(6).map(IntHv::to_binary).collect();
     for isa in kernels::available() {
         let kernel = PrunedScoreKernel {
-            image: image.clone(),
-            compressed: compressed.clone(),
+            packed: &packed,
+            compressed: &compressed,
             isa,
         };
         let name = format!("{}[{isa}]", kernel.entry().name);

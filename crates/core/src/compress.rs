@@ -30,7 +30,9 @@
 //! options ⇒ the same chosen image, byte for byte.
 
 use crate::kernels::{self, KernelSet};
-use crate::{io, HdcError, HdcModel, IntHv, PredictOptions, QuantizedModel, ScoreBatch};
+use crate::{
+    io, HdcError, HdcModel, IntHv, Mapping, PackedModel, PredictOptions, QuantizedModel, ScoreBatch,
+};
 
 /// Per-dimension saliency of a trained model over a labeled sample set.
 ///
@@ -416,20 +418,21 @@ impl CompressedModel {
         mask
     }
 
-    /// Serializes the complete GHDC v3 image. A full-dimension support
-    /// writes the plain (maskless) v3 layout, byte-identical to
-    /// [`io::write_packed`] — pruning none is not a format change.
+    /// Packs the complete GHDC v3 image — the one packed form, scored
+    /// through [`PackedModel::view`]. A full-dimension support packs
+    /// the plain (maskless) v3 layout, byte-identical to
+    /// [`QuantizedModel::pack`] — pruning none is not a format change.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidParameter`] on implausible geometry.
-    pub fn image_bytes(&self) -> Result<Vec<u8>, HdcError> {
-        let bytes = if self.support.len() == self.parent_dim {
-            io::packed_bytes(&self.quantized)
-        } else {
-            io::packed_bytes_pruned(&self.quantized, self.parent_dim, &self.support_mask())
-        };
-        bytes.map_err(|e| HdcError::invalid("image", e.to_string()))
+    pub fn pack(&self) -> Result<PackedModel, HdcError> {
+        if self.support.len() == self.parent_dim {
+            return self.quantized.pack();
+        }
+        io::packed_bytes_pruned(&self.quantized, self.parent_dim, &self.support_mask())
+            .and_then(|bytes| PackedModel::from_mapping(Mapping::from_bytes(&bytes)?))
+            .map_err(|e| HdcError::invalid("image", e.to_string()))
     }
 
     /// Gathers a parent-space encoded hypervector onto the support.
@@ -593,7 +596,7 @@ pub fn pareto_search(
         for &bw in &opts.bit_widths {
             let compressed = CompressedModel::from_pruned(&pruned, bw)?;
             let accuracy = compressed.accuracy(holdout, holdout_labels)?;
-            let bytes = compressed.image_bytes()?.len();
+            let bytes = compressed.pack()?.bytes().len();
             points.push(ParetoPoint {
                 keep_dims: keep,
                 bit_width: bw,
@@ -781,9 +784,8 @@ mod tests {
         pruned.recover(&encoded, &labels, 3, 1).unwrap();
         for bw in [1u8, 4, 8] {
             let compressed = CompressedModel::from_pruned(&pruned, bw).unwrap();
-            let bytes = compressed.image_bytes().unwrap();
-            let mapping = crate::Mapping::from_bytes(&bytes).unwrap();
-            let view = crate::PackedModelView::new(&mapping).unwrap();
+            let packed = compressed.pack().unwrap();
+            let view = packed.view();
             assert!(view.is_pruned());
             assert_eq!(view.dim(), 96);
             assert_eq!(view.parent_dim(), model.dim());
@@ -799,7 +801,7 @@ mod tests {
         let compressed = CompressedModel::from_pruned(&pruned, 8).unwrap();
         let mut plain = Vec::new();
         io::write_packed(compressed.quantized(), &mut plain).unwrap();
-        assert_eq!(compressed.image_bytes().unwrap(), plain);
+        assert_eq!(compressed.pack().unwrap().bytes(), plain);
     }
 
     #[test]
@@ -851,7 +853,7 @@ mod tests {
         .unwrap();
         assert_eq!(again.chosen_point, outcome.chosen_point);
         assert_eq!(
-            again.chosen.image_bytes().unwrap().len(),
+            again.chosen.pack().unwrap().bytes().len(),
             outcome.chosen_point.bytes
         );
     }

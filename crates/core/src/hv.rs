@@ -159,19 +159,13 @@ impl BinaryHv {
     ///
     /// Returns [`HdcError::DimensionMismatch`] if the dimensionalities differ.
     pub fn hamming(&self, other: &BinaryHv) -> Result<usize, HdcError> {
-        self.hamming_with(other, kernels::active())
-    }
-
-    /// [`BinaryHv::hamming`] through an explicit kernel set — the hook the
-    /// differential oracles use to pin every SIMD variant against the
-    /// portable reference.
-    pub(crate) fn hamming_with(
-        &self,
-        other: &BinaryHv,
-        kernels: &KernelSet,
-    ) -> Result<usize, HdcError> {
         self.check_dim(other)?;
-        Ok(kernels.hamming(&self.words, &other.words) as usize)
+        Ok(self
+            .words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a ^ b).count_ones() as usize)
+            .sum())
     }
 
     /// Bipolar dot product with another binary hypervector:

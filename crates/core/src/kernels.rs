@@ -1,10 +1,10 @@
 //! Runtime-dispatched SIMD kernels for the bit-level hot primitives.
 //!
-//! The similarity and bundling hot loops spend their time in four tiny
-//! primitives: XOR+popcount Hamming distance, the masked popcount at the
-//! heart of [`PackedModelView`](crate::PackedModelView) scoring, one
-//! carry-save ripple step of the bit-sliced bundler, and the
-//! `i32 × i32 → i64` dot product of blocked class scoring. This module provides vector-wide
+//! The similarity and bundling hot loops spend their time in three tiny
+//! primitives: the masked popcount at the heart of
+//! [`PackedModelView`](crate::PackedModelView) scoring, one carry-save
+//! ripple step of the bit-sliced bundler, and the `i32 × i32 → i64` dot
+//! product of blocked class scoring. This module provides vector-wide
 //! implementations of each (AVX2 and AVX-512 VPOPCNTDQ on `x86_64`, NEON
 //! on `aarch64`) behind a table of function pointers selected once per
 //! process by runtime CPU-feature detection, with the existing word-wise
@@ -77,7 +77,6 @@ impl std::fmt::Display for Isa {
 #[derive(Clone, Copy)]
 pub struct KernelSet {
     isa: Isa,
-    hamming: fn(&[u64], &[u64]) -> u64,
     masked_popcount: fn(&[u64], &[u64], &[u64]) -> i64,
     ripple_step: fn(&mut [u64], &mut [u64]) -> u64,
     dot_i32: fn(&[i32], &[i32]) -> i64,
@@ -94,13 +93,6 @@ impl KernelSet {
     #[must_use]
     pub fn isa(&self) -> Isa {
         self.isa
-    }
-
-    /// Number of differing bits between two packed bit vectors
-    /// (`Σ popcount(a[i] ^ b[i])` over the common prefix).
-    #[must_use]
-    pub fn hamming(&self, a: &[u64], b: &[u64]) -> u64 {
-        (self.hamming)(a, b)
     }
 
     /// Masked disagreement count: `Σ popcount((q[i] ^ s[i]) & m[i])`
@@ -130,7 +122,6 @@ impl KernelSet {
 /// The portable (always available) kernel set — the scalar oracle.
 static PORTABLE: KernelSet = KernelSet {
     isa: Isa::Portable,
-    hamming: hamming_portable,
     masked_popcount: masked_popcount_portable,
     ripple_step: ripple_step_portable,
     dot_i32: dot_i32_portable,
@@ -139,7 +130,6 @@ static PORTABLE: KernelSet = KernelSet {
 #[cfg(target_arch = "x86_64")]
 static AVX2: KernelSet = KernelSet {
     isa: Isa::Avx2,
-    hamming: hamming_avx2,
     masked_popcount: masked_popcount_avx2,
     ripple_step: ripple_step_avx2,
     dot_i32: dot_i32_avx2,
@@ -148,7 +138,6 @@ static AVX2: KernelSet = KernelSet {
 #[cfg(target_arch = "x86_64")]
 static AVX512: KernelSet = KernelSet {
     isa: Isa::Avx512Vpopcnt,
-    hamming: hamming_avx512,
     masked_popcount: masked_popcount_avx512,
     ripple_step: ripple_step_avx512,
     dot_i32: dot_i32_avx512,
@@ -157,7 +146,6 @@ static AVX512: KernelSet = KernelSet {
 #[cfg(target_arch = "aarch64")]
 static NEON: KernelSet = KernelSet {
     isa: Isa::Neon,
-    hamming: hamming_neon,
     masked_popcount: masked_popcount_neon,
     ripple_step: ripple_step_neon,
     dot_i32: dot_i32_neon,
@@ -238,13 +226,6 @@ pub fn active() -> &'static KernelSet {
 // Portable reference implementations (the scalar oracles).
 // ---------------------------------------------------------------------
 
-fn hamming_portable(a: &[u64], b: &[u64]) -> u64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| u64::from((x ^ y).count_ones()))
-        .sum()
-}
-
 fn masked_popcount_portable(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
     let mut disagree: i64 = 0;
     for ((&q, &s), &m) in q.iter().zip(s).zip(m) {
@@ -320,30 +301,6 @@ mod x86 {
         let lo = _mm256_and_si256(v, low_mask);
         let hi = _mm256_and_si256(_mm256_srli_epi64::<4>(v), low_mask);
         _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub fn hamming_avx2(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len().min(b.len());
-        let chunks = n / 4;
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..chunks {
-            // SAFETY: `i * 4 + 3 < chunks * 4 <= n`, so both 32-byte
-            // unaligned loads stay inside the slices.
-            let (va, vb) = unsafe {
-                (
-                    _mm256_loadu_si256(a.as_ptr().add(i * 4).cast()),
-                    _mm256_loadu_si256(b.as_ptr().add(i * 4).cast()),
-                )
-            };
-            let counts = popcount_epi8(_mm256_xor_si256(va, vb));
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(counts, _mm256_setzero_si256()));
-        }
-        let mut total = reduce_add_epi64(acc) as u64;
-        for (x, y) in a[chunks * 4..n].iter().zip(&b[chunks * 4..n]) {
-            total += u64::from((x ^ y).count_ones());
-        }
-        total
     }
 
     #[target_feature(enable = "avx2")]
@@ -444,29 +401,6 @@ mod x86 {
     }
 
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub fn hamming_avx512(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
-        let mut acc = _mm512_setzero_si512();
-        for i in 0..chunks {
-            // SAFETY: `i * 8 + 7 < chunks * 8 <= n`, so both 64-byte
-            // unaligned loads stay inside the slices.
-            let (va, vb) = unsafe {
-                (
-                    _mm512_loadu_si512(a.as_ptr().add(i * 8).cast()),
-                    _mm512_loadu_si512(b.as_ptr().add(i * 8).cast()),
-                )
-            };
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_xor_si512(va, vb)));
-        }
-        let mut total = _mm512_reduce_add_epi64(acc) as u64;
-        for (x, y) in a[chunks * 8..n].iter().zip(&b[chunks * 8..n]) {
-            total += u64::from((x ^ y).count_ones());
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
     pub fn masked_popcount_avx512(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
         let n = q.len().min(s.len()).min(m.len());
         let chunks = n / 8;
@@ -561,15 +495,9 @@ mod x86 {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn hamming_avx2(a: &[u64], b: &[u64]) -> u64 {
+fn masked_popcount_avx2(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
     // SAFETY: this wrapper is only installed into the `AVX2` set, which
     // is only handed out after `is_x86_feature_detected!("avx2")`.
-    unsafe { x86::hamming_avx2(a, b) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn masked_popcount_avx2(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
-    // SAFETY: only reachable through the detection-guarded `AVX2` set.
     unsafe { x86::masked_popcount_avx2(q, s, m) }
 }
 
@@ -586,16 +514,10 @@ fn dot_i32_avx2(a: &[i32], b: &[i32]) -> i64 {
 }
 
 #[cfg(target_arch = "x86_64")]
-fn hamming_avx512(a: &[u64], b: &[u64]) -> u64 {
+fn masked_popcount_avx512(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
     // SAFETY: this wrapper is only installed into the `AVX512` set,
     // which is only handed out after `is_x86_feature_detected!` confirms
     // both `avx512f` and `avx512vpopcntdq`.
-    unsafe { x86::hamming_avx512(a, b) }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn masked_popcount_avx512(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
-    // SAFETY: only reachable through the detection-guarded `AVX512` set.
     unsafe { x86::masked_popcount_avx512(q, s, m) }
 }
 
@@ -622,30 +544,6 @@ mod arm {
         vget_low_s32, vgetq_lane_u64, vld1q_s32, vld1q_u64, vmull_high_s32, vmull_s32, vorrq_u64,
         vreinterpretq_u8_u64, vst1q_u64,
     };
-
-    #[target_feature(enable = "neon")]
-    pub fn hamming_neon(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len().min(b.len());
-        let chunks = n / 2;
-        let mut total: u64 = 0;
-        for i in 0..chunks {
-            // SAFETY: `i * 2 + 1 < chunks * 2 <= n`, so both 16-byte
-            // loads stay inside the slices.
-            let x: uint64x2_t = unsafe {
-                veorq_u64(
-                    vld1q_u64(a.as_ptr().add(i * 2)),
-                    vld1q_u64(b.as_ptr().add(i * 2)),
-                )
-            };
-            // 16 per-byte counts of at most 8 each: the horizontal sum
-            // (≤ 128) fits the u8 returned by `vaddvq_u8`.
-            total += u64::from(vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(x))));
-        }
-        for (x, y) in a[chunks * 2..n].iter().zip(&b[chunks * 2..n]) {
-            total += u64::from((x ^ y).count_ones());
-        }
-        total
-    }
 
     #[target_feature(enable = "neon")]
     pub fn masked_popcount_neon(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
@@ -736,15 +634,9 @@ mod arm {
 }
 
 #[cfg(target_arch = "aarch64")]
-fn hamming_neon(a: &[u64], b: &[u64]) -> u64 {
+fn masked_popcount_neon(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
     // SAFETY: this wrapper is only installed into the `NEON` set, which
     // is only handed out after `is_aarch64_feature_detected!("neon")`.
-    unsafe { arm::hamming_neon(a, b) }
-}
-
-#[cfg(target_arch = "aarch64")]
-fn masked_popcount_neon(q: &[u64], s: &[u64], m: &[u64]) -> i64 {
-    // SAFETY: only reachable through the detection-guarded `NEON` set.
     unsafe { arm::masked_popcount_neon(q, s, m) }
 }
 
@@ -796,20 +688,6 @@ mod tests {
         assert!(for_isa(Isa::Portable).is_some());
         // `active` must be one of the available sets.
         assert!(available().contains(&active().isa()));
-    }
-
-    #[test]
-    fn every_available_isa_matches_portable_on_hamming() {
-        let mut rng = Mix(1);
-        for &n in &LENGTHS {
-            let a = words(&mut rng, n);
-            let b = words(&mut rng, n);
-            let want = PORTABLE.hamming(&a, &b);
-            for isa in available() {
-                let set = for_isa(isa).expect("available implies constructible");
-                assert_eq!(set.hamming(&a, &b), want, "{isa} n={n}");
-            }
-        }
     }
 
     #[test]

@@ -27,12 +27,13 @@
 //!   publishes and rollbacks.
 //! - Every mutating filesystem boundary routes through an injectable
 //!   [`LedgerFs`], so crash-fault campaigns can fail or kill the
-//!   process at exact create/write/sync/rename points — the same
-//!   spirit as `CheckpointStore::inject_write_failures`.
+//!   process at exact create/write/sync/rename points.
 //!
 //! The [`ModelRegistry`](crate::ModelRegistry) drives this ledger for
-//! serving; the `generic registry history|rollback|gc|fsck` CLI drives
-//! it directly for administration.
+//! serving, the [`CheckpointStore`](crate::CheckpointStore) drives it as
+//! a single-tenant (`ckpt`) checkpoint directory, and the
+//! `generic registry history|rollback|gc|fsck` CLI drives either
+//! directly for administration.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -246,7 +247,7 @@ impl LedgerFs {
         file.sync_all()
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+    pub(crate) fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         if self.gate(FsOp::Rename)? {
             // Crash before the rename: the temp file stays orphaned.
             return Err(crash_error(FsOp::Rename));
@@ -261,7 +262,13 @@ impl LedgerFs {
             // must tolerate both.
             return Err(crash_error(FsOp::SyncDir));
         }
-        crate::runtime::sync_dir(dir)
+        // Directory handles are only flushable on Unix; elsewhere the
+        // rename alone is the best the platform offers.
+        #[cfg(unix)]
+        File::open(dir)?.sync_all()?;
+        #[cfg(not(unix))]
+        let _ = dir;
+        Ok(())
     }
 }
 
@@ -541,6 +548,16 @@ fn parse_tenant_line(line: &str) -> Option<(String, u64, Vec<u64>)> {
     Some((name.to_owned(), live, retained))
 }
 
+/// File name of generation `gen` of `tenant` (generation 0 is the
+/// legacy flat image `<tenant>.ghdc`).
+pub(crate) fn gen_file_name(tenant: &str, gen: u64) -> String {
+    if gen == LEGACY_GENERATION {
+        format!("{tenant}.{IMAGE_EXT}")
+    } else {
+        format!("{tenant}.g{gen}.{IMAGE_EXT}")
+    }
+}
+
 /// Tenant-name discipline shared with the registry: `[A-Za-z0-9_-]`,
 /// 1–64 bytes. Names never contain `.`, which keeps generation-file
 /// parsing unambiguous.
@@ -645,6 +662,8 @@ pub struct Ledger {
     lock: Option<File>,
     manifest: Manifest,
     watch: Option<FileStamp>,
+    /// Write retries consumed since the last [`Ledger::take_retries`].
+    retries: u64,
 }
 
 impl Ledger {
@@ -683,6 +702,7 @@ impl Ledger {
             lock: None,
             manifest: Manifest::default(),
             watch: None,
+            retries: 0,
         };
         let _ = ledger.try_acquire_writer();
         let mut outcome = RecoveryOutcome::default();
@@ -777,6 +797,12 @@ impl Ledger {
         self.fs.clone()
     }
 
+    /// Drains the write-retry counter: retries consumed since the last
+    /// call by every image and manifest write, failed ones included.
+    pub fn take_retries(&mut self) -> u64 {
+        std::mem::take(&mut self.retries)
+    }
+
     /// Tries to become the writer (idempotent).
     ///
     /// # Errors
@@ -808,11 +834,7 @@ impl Ledger {
     /// Path of generation `gen` of `tenant` (generation 0 is the legacy
     /// flat image `<tenant>.ghdc`).
     pub fn gen_path(&self, tenant: &str, gen: u64) -> PathBuf {
-        if gen == LEGACY_GENERATION {
-            self.dir.join(format!("{tenant}.{IMAGE_EXT}"))
-        } else {
-            self.dir.join(format!("{tenant}.g{gen}.{IMAGE_EXT}"))
-        }
+        self.dir.join(gen_file_name(tenant, gen))
     }
 
     /// The live generation and its path, when the tenant is known.
@@ -877,28 +899,11 @@ impl Ledger {
     ///
     /// The last I/O error once the retry budget is exhausted (the
     /// staging file is cleaned up best-effort).
-    pub fn publish_image(&mut self, tenant: &str, bytes: &[u8]) -> io::Result<(u64, PathBuf, u32)> {
+    pub fn publish_image(&mut self, tenant: &str, bytes: &[u8]) -> io::Result<(u64, PathBuf)> {
         let gen = self.next_generation(tenant);
         let path = self.gen_path(tenant, gen);
-        let tmp = self
-            .dir
-            .join(format!("{tenant}.g{gen}.{IMAGE_EXT}{TMP_SUFFIX}"));
-        let fs = self.fs.clone();
-        let dir = self.dir.clone();
-        let (result, retries) = self.retry.run_counted(|| {
-            let mut file = fs.create(&tmp)?;
-            fs.write_all(&mut file, bytes)?;
-            fs.sync(&file)?;
-            drop(file);
-            fs.rename(&tmp, &path)?;
-            fs.sync_dir(&dir)
-        });
-        // A dead process can't clean up — its staging file stays for
-        // the next open's recovery sweep, exactly like a real kill -9.
-        if result.is_err() && !self.fs.crashed() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result.map(|()| (gen, path, retries))
+        self.write_atomic(&path, bytes)?;
+        Ok((gen, path))
     }
 
     /// Commits `gen` as `tenant`'s live generation: bumps the epoch,
@@ -913,7 +918,7 @@ impl Ledger {
     /// Manifest write failures; the in-memory manifest is left on the
     /// *previous* committed state when the write fails, so serving
     /// state and disk state cannot silently diverge.
-    pub fn commit_live(&mut self, tenant: &str, gen: u64) -> io::Result<u32> {
+    pub fn commit_live(&mut self, tenant: &str, gen: u64) -> io::Result<()> {
         let previous = self.manifest.clone();
         let keep = self.keep;
         let entry = self.manifest.tenant_mut(tenant);
@@ -931,14 +936,14 @@ impl Ledger {
         }
         self.manifest.epoch += 1;
         if !self.is_writer() {
-            return Ok(0);
+            return Ok(());
         }
         match self.write_manifest() {
-            Ok(retries) => {
+            Ok(()) => {
                 for g in dropped {
                     let _ = std::fs::remove_file(self.gen_path(tenant, g));
                 }
-                Ok(retries)
+                Ok(())
             }
             Err(e) => {
                 self.manifest = previous;
@@ -998,16 +1003,21 @@ impl Ledger {
     }
 
     /// Full CRC/layout validation of one image file (no dimensionality
-    /// check — that is the registry's concern).
+    /// check — that is the registry's concern). The image's own header
+    /// picks the decoder: a checkpoint envelope is fully decoded, any
+    /// other image is validated as a packed v3 model.
     ///
     /// # Errors
     ///
     /// A human-readable reason (missing, torn, CRC mismatch, …).
     pub fn validate_image(path: &Path) -> Result<(), String> {
         let bytes = Mapping::map_file(path).map_err(|e| e.to_string())?;
-        PackedLayout::validate(&bytes)
-            .map(|_| ())
-            .map_err(|e| e.to_string())
+        if crate::runtime::is_checkpoint(&bytes) {
+            crate::runtime::decode_checkpoint(&bytes).map(|_| ())
+        } else {
+            PackedLayout::validate(&bytes).map(|_| ())
+        }
+        .map_err(|e| e.to_string())
     }
 
     /// Per-generation history of one tenant, ascending.
@@ -1089,27 +1099,39 @@ impl Ledger {
 
     // -- internals ----------------------------------------------------------
 
-    /// Atomically replaces the manifest through the injectable fs,
-    /// retrying transient faults. Returns retries consumed.
-    fn write_manifest(&mut self) -> io::Result<u32> {
-        let bytes = self.manifest.serialize();
+    /// Atomically replaces the manifest.
+    fn write_manifest(&mut self) -> io::Result<()> {
         let path = self.manifest_path();
-        let tmp = self.dir.join(format!("{MANIFEST_NAME}{TMP_SUFFIX}"));
-        let fs = self.fs.clone();
-        let dir = self.dir.clone();
+        let bytes = self.manifest.serialize();
+        let result = self.write_atomic(&path, &bytes);
+        self.watch = stamp(&path);
+        result
+    }
+
+    /// The one write path of the ledger: stages `bytes` to
+    /// `<path>.tmp`, fsyncs, atomically renames into place, and fsyncs
+    /// the directory — every step through the injectable fs, transient
+    /// faults retried per the [`RetryPolicy`] and counted for
+    /// [`take_retries`](Ledger::take_retries).
+    fn write_atomic(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(TMP_SUFFIX);
+        let tmp = PathBuf::from(tmp);
         let (result, retries) = self.retry.run_counted(|| {
-            let mut file = fs.create(&tmp)?;
-            fs.write_all(&mut file, &bytes)?;
-            fs.sync(&file)?;
+            let mut file = self.fs.create(&tmp)?;
+            self.fs.write_all(&mut file, bytes)?;
+            self.fs.sync(&file)?;
             drop(file);
-            fs.rename(&tmp, &path)?;
-            fs.sync_dir(&dir)
+            self.fs.rename(&tmp, path)?;
+            self.fs.sync_dir(&self.dir)
         });
+        self.retries += u64::from(retries);
+        // A dead process can't clean up — its staging file stays for
+        // the next open's recovery sweep, exactly like a real kill -9.
         if result.is_err() && !self.fs.crashed() {
             let _ = std::fs::remove_file(&tmp);
         }
-        self.watch = stamp(&path);
-        result.map(|()| retries)
+        result
     }
 
     /// Rebuilds a manifest from the on-disk images: per tenant, live =
@@ -1311,7 +1333,7 @@ mod tests {
         let dir = scratch("cycle");
         let (mut ledger, _) = Ledger::open(&dir).unwrap();
         let image = sample_image(7);
-        let (gen, path, _) = ledger.publish_image("acme", &image).unwrap();
+        let (gen, path) = ledger.publish_image("acme", &image).unwrap();
         assert_eq!(gen, 1);
         assert!(path.exists());
         ledger.commit_live("acme", gen).unwrap();
@@ -1332,7 +1354,7 @@ mod tests {
         let (mut ledger, _) = Ledger::open(&dir).unwrap();
         for seed in 0..3u64 {
             let image = sample_image(seed);
-            let (gen, _, _) = ledger.publish_image("t", &image).unwrap();
+            let (gen, _) = ledger.publish_image("t", &image).unwrap();
             ledger.commit_live("t", gen).unwrap();
         }
         // Corrupt the newest image and tear the manifest.
@@ -1356,7 +1378,7 @@ mod tests {
         let fs = LedgerFs::new();
         let (mut ledger, _) =
             Ledger::open_with(&dir, 4, RetryPolicy::default(), fs.clone()).unwrap();
-        let (gen, _, _) = ledger.publish_image("acme", &sample_image(1)).unwrap();
+        let (gen, _) = ledger.publish_image("acme", &sample_image(1)).unwrap();
         ledger.commit_live("acme", gen).unwrap();
 
         // Crash mid-write of the next image: half the payload lands in
@@ -1391,9 +1413,9 @@ mod tests {
         };
         let (mut ledger, _) = Ledger::open_with(&dir, 4, retry, fs.clone()).unwrap();
         fs.fail_next(FsOp::Sync, 2);
-        let (gen, _, retries) = ledger.publish_image("acme", &sample_image(3)).unwrap();
+        let (gen, _) = ledger.publish_image("acme", &sample_image(3)).unwrap();
         assert_eq!(gen, 1);
-        assert_eq!(retries, 2);
+        assert_eq!(ledger.take_retries(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1403,7 +1425,7 @@ mod tests {
         let (mut ledger, _) =
             Ledger::open_with(&dir, 2, RetryPolicy::default(), LedgerFs::new()).unwrap();
         for seed in 0..4u64 {
-            let (gen, _, _) = ledger.publish_image("t", &sample_image(seed)).unwrap();
+            let (gen, _) = ledger.publish_image("t", &sample_image(seed)).unwrap();
             ledger.commit_live("t", gen).unwrap();
         }
         let entry = ledger.manifest().tenant("t").unwrap().clone();
@@ -1421,14 +1443,14 @@ mod tests {
         let dir = scratch("watch");
         let (mut writer, _) = Ledger::open(&dir).unwrap();
         assert!(writer.is_writer());
-        let (gen, _, _) = writer.publish_image("acme", &sample_image(5)).unwrap();
+        let (gen, _) = writer.publish_image("acme", &sample_image(5)).unwrap();
         writer.commit_live("acme", gen).unwrap();
 
         let (mut reader, _) = Ledger::open(&dir).unwrap();
         assert!(!reader.is_writer(), "flock must exclude a second opener");
         assert_eq!(reader.live_path("acme").unwrap().0, 1);
 
-        let (gen, _, _) = writer.publish_image("acme", &sample_image(6)).unwrap();
+        let (gen, _) = writer.publish_image("acme", &sample_image(6)).unwrap();
         writer.commit_live("acme", gen).unwrap();
         let changed = reader.refresh_if_changed().unwrap();
         assert_eq!(changed, vec!["acme".to_owned()]);
@@ -1444,7 +1466,7 @@ mod tests {
     fn fsck_reports_corruption_and_orphans() {
         let dir = scratch("fsck");
         let (mut ledger, _) = Ledger::open(&dir).unwrap();
-        let (gen, path, _) = ledger.publish_image("acme", &sample_image(9)).unwrap();
+        let (gen, path) = ledger.publish_image("acme", &sample_image(9)).unwrap();
         ledger.commit_live("acme", gen).unwrap();
         // An orphan image (never committed) and a torn live image.
         std::fs::write(dir.join("acme.g9.ghdc"), b"stray").unwrap();

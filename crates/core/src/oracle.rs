@@ -173,15 +173,6 @@ pub const ORACLE_REGISTRY: &[OracleEntry] = &[
                    unpacked model",
     },
     OracleEntry {
-        name: "hamming_simd",
-        stage: StageKind::Score,
-        tolerance: Tolerance::BitIdentical,
-        contract: "XOR+popcount Hamming distance is a sum of per-word \
-                   popcounts; integer addition is associative, so every \
-                   SIMD lane arrangement totals the same count as the \
-                   portable word loop",
-    },
-    OracleEntry {
         name: "bundle_ripple_simd",
         stage: StageKind::Encode,
         tolerance: Tolerance::BitIdentical,
@@ -482,31 +473,6 @@ fn kernel_set(isa: Isa) -> Result<&'static kernels::KernelSet, HdcError> {
         .ok_or_else(|| HdcError::invalid("isa", format!("{isa} not supported on this host")))
 }
 
-/// SIMD vs portable XOR+popcount Hamming distance on one pair of binary
-/// hypervectors.
-#[derive(Debug, Clone, Copy)]
-pub struct HammingKernel {
-    /// The ISA variant under test (the fast side).
-    pub isa: Isa,
-}
-
-impl DifferentialKernel for HammingKernel {
-    type Input = (BinaryHv, BinaryHv);
-    type Output = usize;
-
-    fn entry(&self) -> &'static OracleEntry {
-        lookup("hamming_simd").expect("registered")
-    }
-
-    fn fast(&self, input: &(BinaryHv, BinaryHv)) -> Result<usize, HdcError> {
-        input.0.hamming_with(&input.1, kernel_set(self.isa)?)
-    }
-
-    fn reference(&self, input: &(BinaryHv, BinaryHv)) -> Result<usize, HdcError> {
-        input.0.hamming_with(&input.1, kernel_set(Isa::Portable)?)
-    }
-}
-
 /// SIMD-rippled bit-sliced bundling vs the scalar rotate-free
 /// [`IntHv::bundle_binary`] accumulation of the same hypervector batch.
 #[derive(Debug, Clone, Copy)]
@@ -696,18 +662,18 @@ impl DifferentialKernel for PruneKernel<'_> {
 /// scored through the heap [`QuantizedModel`]). The input is a
 /// parent-width binarized query; the output is the per-class score
 /// vector.
-#[derive(Debug, Clone)]
-pub struct PrunedScoreKernel {
-    /// The serialized GHDC v3 image of the compressed model (the fast
-    /// side maps and scores it zero-copy).
-    pub image: Vec<u8>,
+#[derive(Debug, Clone, Copy)]
+pub struct PrunedScoreKernel<'a> {
+    /// The packed v3 image of the compressed model (the fast side
+    /// scores it in place).
+    pub packed: &'a PackedModel,
     /// The compressed model (support + heap quantized reference side).
-    pub compressed: crate::CompressedModel,
+    pub compressed: &'a crate::CompressedModel,
     /// The ISA variant the fast side dispatches through.
     pub isa: Isa,
 }
 
-impl DifferentialKernel for PrunedScoreKernel {
+impl DifferentialKernel for PrunedScoreKernel<'_> {
     type Input = BinaryHv;
     type Output = Vec<f64>;
 
@@ -716,14 +682,10 @@ impl DifferentialKernel for PrunedScoreKernel {
     }
 
     fn fast(&self, query: &BinaryHv) -> Result<Vec<f64>, HdcError> {
-        // Views demand the mapping's 64-byte base alignment; copy the
-        // image into an anonymous mapping exactly as the registry does.
-        let mapping = crate::Mapping::from_bytes(&self.image)
-            .map_err(|e| HdcError::invalid("image", e.to_string()))?;
-        let view = crate::PackedModelView::new(&mapping)
-            .map_err(|e| HdcError::invalid("image", e.to_string()))?;
         let mut out = Vec::new();
-        view.scores_into_with(query, kernel_set(self.isa)?, &mut out)?;
+        self.packed
+            .view()
+            .scores_into_with(query, kernel_set(self.isa)?, &mut out)?;
         Ok(out)
     }
 
@@ -823,7 +785,6 @@ mod tests {
     fn simd_kernels_agree_with_their_scalar_oracles_on_every_isa() {
         let (_, model, encoded, _) = fixture();
         let a = encoded[0].to_binary();
-        let b = encoded[1].to_binary();
         let quantized = QuantizedModel::from_model(&model, 4).unwrap();
         let packed = quantized.pack().unwrap();
         let hvs: Vec<BinaryHv> = encoded.iter().map(IntHv::to_binary).collect();
@@ -831,14 +792,6 @@ mod tests {
         let opts = PredictOptions::full(model.dim());
 
         for isa in kernels::available() {
-            let hamming = HammingKernel { isa };
-            let input = (a.clone(), b.clone());
-            assert_eq!(
-                hamming.fast(&input).unwrap(),
-                hamming.reference(&input).unwrap(),
-                "hamming isa={isa}"
-            );
-
             let packed_scores = PackedScoreKernel {
                 quantized: &quantized,
                 packed: &packed,
@@ -906,11 +859,11 @@ mod tests {
 
         let pruned = crate::prune(&model, &sal, 100).unwrap();
         let compressed = crate::CompressedModel::from_pruned(&pruned, 4).unwrap();
-        let image = compressed.image_bytes().unwrap();
+        let packed = compressed.pack().unwrap();
         for isa in kernels::available() {
             let kernel = PrunedScoreKernel {
-                image: image.clone(),
-                compressed: compressed.clone(),
+                packed: &packed,
+                compressed: &compressed,
                 isa,
             };
             for q in encoded.iter().take(4) {
@@ -935,9 +888,9 @@ mod tests {
         if kernels::for_isa(foreign).is_some() {
             return; // host genuinely supports it; nothing to reject
         }
-        let hamming = HammingKernel { isa: foreign };
-        let a = BinaryHv::random_seeded(128, 1).unwrap();
-        let b = BinaryHv::random_seeded(128, 2).unwrap();
-        assert!(hamming.fast(&(a, b)).is_err());
+        let dot = DotI32Kernel { isa: foreign };
+        let a = IntHv::from(BinaryHv::random_seeded(128, 1).unwrap());
+        let b = IntHv::from(BinaryHv::random_seeded(128, 2).unwrap());
+        assert!(dot.fast(&(a, b)).is_err());
     }
 }

@@ -83,7 +83,7 @@ pub struct RegistryConfig {
     /// admission to pick up cross-process publishes (1 = every call).
     pub watch_every: u64,
     /// Backoff policy for transient publish/manifest I/O faults (the
-    /// same shape `CheckpointStore::save` uses).
+    /// same ledger write path `CheckpointStore::save` uses).
     pub retry: RetryPolicy,
 }
 
@@ -225,8 +225,8 @@ pub struct RegistryStats {
     /// Validation failures that quarantined a tenant (no retained
     /// generation validated).
     pub quarantines: u64,
-    /// Transient publish/manifest I/O faults absorbed by the
-    /// [`RetryPolicy`].
+    /// Publish/manifest write retries consumed by the [`RetryPolicy`],
+    /// including those of publishes that failed once it ran out.
     pub publish_retries: u64,
     /// Generations reverted — explicit [`ModelRegistry::rollback`]s,
     /// auto-rollbacks on a corrupt live image, and rejected publishes
@@ -539,6 +539,7 @@ impl ModelRegistry {
                 // miss retries the commit.
                 let _ = ledger.commit_live(tenant, gen);
                 let mut state = lock_state(&self.state);
+                state.stats.publish_retries += ledger.take_retries();
                 state.stats.rollbacks += 1;
                 state.quarantined.remove(tenant);
                 return Some((model, gen));
@@ -575,7 +576,7 @@ impl ModelRegistry {
         }
         let mut bytes = Vec::new();
         write_packed(model, &mut bytes)?;
-        self.publish_bytes(tenant, bytes)
+        self.publish_bytes(tenant, &bytes)
     }
 
     /// [`publish`](ModelRegistry::publish) for a compressed (pruned +
@@ -601,17 +602,15 @@ impl ModelRegistry {
                 actual: model.parent_dim(),
             });
         }
-        let bytes = model
-            .image_bytes()
-            .map_err(|e| RegistryError::PublishRejected {
-                tenant: tenant.to_owned(),
-                reason: e.to_string(),
-            })?;
-        self.publish_bytes(tenant, bytes)
+        let packed = model.pack().map_err(|e| RegistryError::PublishRejected {
+            tenant: tenant.to_owned(),
+            reason: e.to_string(),
+        })?;
+        self.publish_bytes(tenant, packed.bytes())
     }
 
     /// Shared staging/validation/commit tail of both publish paths.
-    fn publish_bytes(&self, tenant: &str, bytes: Vec<u8>) -> Result<u64, RegistryError> {
+    fn publish_bytes(&self, tenant: &str, bytes: &[u8]) -> Result<u64, RegistryError> {
         let mut ledger = lock_ledger(&self.ledger);
         if !ledger.try_acquire_writer()? {
             return Err(RegistryError::NotWriter);
@@ -619,10 +618,9 @@ impl ModelRegistry {
         // Fold in commits another process made while we were idle, so
         // the new generation numbers past them.
         let _ = ledger.refresh_if_changed();
-        let (gen, path, retries) = ledger.publish_image(tenant, &bytes)?;
-        if retries > 0 {
-            lock_state(&self.state).stats.publish_retries += u64::from(retries);
-        }
+        let staged = ledger.publish_image(tenant, bytes);
+        lock_state(&self.state).stats.publish_retries += ledger.take_retries();
+        let (gen, path) = staged?;
         // Validate the staged image *before* the manifest moves: a bad
         // image is discarded and the previous generation stays live.
         let model = match self.load(&path) {
@@ -642,7 +640,9 @@ impl ModelRegistry {
                 });
             }
         };
-        let commit_retries = ledger.commit_live(tenant, gen)?;
+        let committed = ledger.commit_live(tenant, gen);
+        lock_state(&self.state).stats.publish_retries += ledger.take_retries();
+        committed?;
         drop(ledger);
 
         let needed = model.bytes().len();
@@ -653,7 +653,6 @@ impl ModelRegistry {
             });
         }
         let mut state = lock_state(&self.state);
-        state.stats.publish_retries += u64::from(commit_retries);
         state.quarantined.remove(tenant);
         state.tick += 1;
         let tick = state.tick;
@@ -723,9 +722,11 @@ impl ModelRegistry {
                 reason,
             });
         }
-        ledger.commit_live(tenant, target)?;
-        drop(ledger);
+        let committed = ledger.commit_live(tenant, target);
         let mut state = lock_state(&self.state);
+        state.stats.publish_retries += ledger.take_retries();
+        drop(ledger);
+        committed?;
         state.stats.rollbacks += 1;
         state.quarantined.remove(tenant);
         if let Some(old) = state.resident.remove(tenant) {

@@ -7,11 +7,12 @@
 //! Three pillars:
 //!
 //! 1. **Crash-safe persistence** — [`CheckpointStore`] writes
-//!    generation-numbered checkpoints through the GHDC v2 envelope
-//!    (write to temp file → `fsync` → atomic rename → directory
-//!    `fsync`). Startup recovery scans the generations newest-first,
-//!    rejects corrupt or truncated files via the CRC32 footer, and
-//!    falls back to the newest intact one.
+//!    generation-numbered checkpoints in the GHDC v2 envelope through a
+//!    single-tenant [`Ledger`] (write to temp file → `fsync` → atomic
+//!    rename → directory `fsync`, then a CRC-sealed manifest commit).
+//!    Startup recovery scans the generations newest-first, rejects
+//!    corrupt or truncated files via the CRC32 footer, and falls back
+//!    to the newest intact one.
 //! 2. **Graceful degradation under load** — each request carries a time
 //!    budget; the [`DegradationLadder`] built on the per-128-dimension
 //!    sub-norm reduction tiers (§4.3.3) picks the widest tier whose
@@ -37,6 +38,7 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::io::ReadModelError;
+use crate::ledger::{gen_file_name, Ledger, LedgerFs};
 use crate::{HdcError, HdcPipeline, IntHv, NormMode, PredictOptions, ScoreBatch, SUB_NORM_CHUNK};
 
 /// Checkpoint files are GHDC v2 envelopes with this `kind` byte: a
@@ -44,11 +46,13 @@ use crate::{HdcError, HdcPipeline, IntHv, NormMode, PredictOptions, ScoreBatch, 
 /// a nested — itself sealed — pipeline stream.
 const CKPT_KIND: u8 = 3;
 
-/// Checkpoint file name prefix; the zero-padded generation number keeps
-/// lexical and numeric order identical.
-const CKPT_PREFIX: &str = "ckpt-";
-const CKPT_SUFFIX: &str = ".ghdc";
-const CKPT_TMP_SUFFIX: &str = ".tmp";
+/// The one ledger tenant of a checkpoint directory: generation `N`
+/// lives in `ckpt.g<N>.ghdc`.
+const CKPT_TENANT: &str = "ckpt";
+
+/// File name prefix of the pre-ledger layout (`ckpt-<gen:020>.ghdc`),
+/// adopted on open.
+const LEGACY_PREFIX: &str = "ckpt-";
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -225,12 +229,7 @@ fn jitter_fraction() -> f64 {
 impl RetryPolicy {
     /// Runs `op` until it succeeds or the attempt budget is exhausted,
     /// sleeping the capped, jittered backoff between attempts. Returns
-    /// the last error on exhaustion.
-    pub fn run<T>(&self, op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-        self.run_counted(op).0
-    }
-
-    /// Like [`run`](RetryPolicy::run), but also reports how many retries
+    /// the last error on exhaustion, together with how many retries
     /// (attempts beyond the first) were consumed — the quantity
     /// [`RuntimeStats::checkpoint_retries`] accumulates.
     pub fn run_counted<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> (io::Result<T>, u32) {
@@ -284,7 +283,7 @@ pub struct Checkpoint {
 pub struct RecoveryReport {
     /// The newest intact checkpoint, if any survived.
     pub checkpoint: Option<Checkpoint>,
-    /// Generations present on disk (intact or not).
+    /// Retained generations scanned (intact or not).
     pub scanned: usize,
     /// Generations that failed to load, newest first, with the reason —
     /// corrupt and truncated files land here instead of aborting
@@ -294,121 +293,113 @@ pub struct RecoveryReport {
     pub elapsed: Duration,
 }
 
-/// Generation-numbered, atomically-replaced checkpoints in a directory.
+/// Generation-numbered, crash-safe checkpoints in a directory: a
+/// [`Ledger`] with the single tenant `ckpt`.
 ///
-/// Every write goes to `ckpt-<gen>.ghdc.tmp`, is flushed with
-/// `fsync`, then atomically renamed to `ckpt-<gen>.ghdc`, and the
-/// directory entry is flushed too — a `kill -9` at any instant leaves
-/// either the old generation set or the old set plus the complete new
-/// file, never a half-written visible checkpoint. Stray `.tmp` files
-/// are ignored (and garbage-collected on the next save).
-#[derive(Debug, Clone)]
+/// Every save stages `ckpt.g<N>.ghdc.tmp`, flushes it with `fsync`,
+/// atomically renames it into place, flushes the directory entry, and
+/// then commits the CRC-sealed `MANIFEST` — a `kill -9` at any instant
+/// leaves either the old generation set or the old set plus the
+/// complete new file, never a half-written visible checkpoint. Opening
+/// sweeps stray staging files, adopts images a crash left uncommitted,
+/// and renames a pre-ledger `ckpt-<gen>.ghdc` layout into the ledger's.
+/// Only the store holding the directory's writer lock may save.
+#[derive(Debug)]
 pub struct CheckpointStore {
-    dir: PathBuf,
-    keep: usize,
-    retry: RetryPolicy,
-    /// Write retries consumed since the last [`take_retries`]
-    /// (shared across clones so the runtime can drain it into stats).
-    retries: Arc<std::sync::atomic::AtomicU64>,
-    /// Chaos/test hook: how many upcoming write *attempts* fail with an
-    /// injected I/O error before reaching the filesystem.
-    injected_failures: Arc<std::sync::atomic::AtomicU32>,
+    ledger: Ledger,
 }
 
 impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory, keeping at
-    /// most `keep` generations on disk (≥ 1; older ones are pruned
+    /// most `keep` generations on disk (≥ 1; older ones are removed
     /// after each successful save).
     ///
     /// # Errors
     ///
-    /// Returns an error if the directory cannot be created.
+    /// Returns an error if the directory cannot be created or read, or
+    /// a legacy checkpoint cannot be renamed.
     pub fn open(dir: impl Into<PathBuf>, keep: usize, retry: RetryPolicy) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore {
-            dir,
-            keep: keep.max(1),
-            retry,
-            retries: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            injected_failures: Arc::new(std::sync::atomic::AtomicU32::new(0)),
-        })
+        let fs = LedgerFs::new();
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            let legacy = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .and_then(|n| n.strip_prefix(LEGACY_PREFIX)?.strip_suffix(".ghdc"))
+                .and_then(|g| g.parse::<u64>().ok());
+            if let Some(gen) = legacy {
+                fs.rename(&path, &dir.join(gen_file_name(CKPT_TENANT, gen)))?;
+            }
+        }
+        let (ledger, _) = Ledger::open_with(dir, keep, retry, fs)?;
+        Ok(CheckpointStore { ledger })
     }
 
     /// The directory backing this store.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.ledger.dir()
+    }
+
+    /// The file generation `generation` lives in.
+    pub fn path(&self, generation: u64) -> PathBuf {
+        self.ledger.gen_path(CKPT_TENANT, generation)
+    }
+
+    /// The injectable filesystem layer every checkpoint write routes
+    /// through (shared-state clone) — arm its faults to exercise the
+    /// retry and degraded-serving paths exactly as a flaky medium would.
+    pub fn fs(&self) -> LedgerFs {
+        self.ledger.fs()
     }
 
     /// Drains the write-retry counter: returns how many retries the
-    /// store's [`RetryPolicy`] consumed since the last call. The counter
-    /// is shared across clones of this store.
-    pub fn take_retries(&self) -> u64 {
-        self.retries.swap(0, std::sync::atomic::Ordering::Relaxed)
+    /// store's [`RetryPolicy`] consumed since the last call, including
+    /// those of saves that failed.
+    pub fn take_retries(&mut self) -> u64 {
+        self.ledger.take_retries()
     }
 
-    /// Chaos/test hook: makes the next `n` write *attempts* fail with an
-    /// injected transient I/O error before touching the filesystem —
-    /// exercising the retry + degraded-serving paths exactly as a flaky
-    /// medium would. Cumulative with any previously injected budget.
-    pub fn inject_write_failures(&self, n: u32) {
-        self.injected_failures
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Consumes one injected failure if armed.
-    fn injected_failure(&self) -> Option<io::Error> {
-        use std::sync::atomic::Ordering;
-        let mut left = self.injected_failures.load(Ordering::Relaxed);
-        while left > 0 {
-            match self.injected_failures.compare_exchange_weak(
-                left,
-                left - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(io::Error::other("injected checkpoint write failure")),
-                Err(now) => left = now,
-            }
-        }
-        None
-    }
-
-    /// Serializes `pipeline` as generation `generation` and atomically
-    /// publishes it, retrying transient failures per the store's
-    /// [`RetryPolicy`]. Returns the published path.
+    /// Serializes `pipeline` as generation `generation` — which must be
+    /// one past every retained generation — and publishes it, retrying
+    /// transient failures per the store's [`RetryPolicy`]. Returns the
+    /// published path.
     ///
     /// # Errors
     ///
-    /// Returns the last I/O error once the retry budget is exhausted.
+    /// [`RuntimeError::Io`] for any other generation, when another store
+    /// holds the directory's writer lock, or with the last I/O error
+    /// once the retry budget is exhausted.
     pub fn save(
-        &self,
+        &mut self,
         pipeline: &HdcPipeline,
         generation: u64,
         seen: u64,
         holdout_accuracy: f64,
     ) -> Result<PathBuf, RuntimeError> {
+        if !self.ledger.try_acquire_writer()? {
+            return Err(RuntimeError::Io(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                "another store holds the checkpoint directory's writer lock",
+            )));
+        }
+        // Fold in generations a previous writer committed after this
+        // store opened. Numbering one past every retained generation
+        // also steps over one recovery skipped as corrupt, so it is
+        // never overwritten.
+        let _ = self.ledger.refresh_if_changed();
+        let next = self.ledger.next_generation(CKPT_TENANT);
+        if generation != next {
+            return Err(RuntimeError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("the next checkpoint generation is {next}, not {generation}"),
+            )));
+        }
         let bytes = encode_checkpoint(pipeline, generation, seen, holdout_accuracy)?;
-        let final_path = self.dir.join(file_name(generation));
-        let tmp_path = self
-            .dir
-            .join(format!("{}{}", file_name(generation), CKPT_TMP_SUFFIX));
-        let (result, retries) = self.retry.run_counted(|| {
-            if let Some(e) = self.injected_failure() {
-                return Err(e);
-            }
-            let mut file = std::fs::File::create(&tmp_path)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-            drop(file);
-            std::fs::rename(&tmp_path, &final_path)?;
-            sync_dir(&self.dir)
-        });
-        self.retries
-            .fetch_add(u64::from(retries), std::sync::atomic::Ordering::Relaxed);
-        result?;
-        self.prune();
-        Ok(final_path)
+        let (generation, path) = self.ledger.publish_image(CKPT_TENANT, &bytes)?;
+        self.ledger.commit_live(CKPT_TENANT, generation)?;
+        Ok(path)
     }
 
     /// Scans the store newest-generation-first and loads the first
@@ -417,7 +408,8 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns an error only when the directory itself cannot be read.
+    /// None currently: unreadable generations are rejected like corrupt
+    /// ones; the signature leaves room for a directory scan.
     pub fn recover(&self) -> Result<RecoveryReport, RuntimeError> {
         let start = Instant::now();
         let generations = self.generations()?;
@@ -448,8 +440,7 @@ impl CheckpointStore {
     /// Returns [`RuntimeError::NoSuchGeneration`] when absent, a
     /// [`RuntimeError::Checkpoint`] when the file fails validation.
     pub fn load_generation(&self, generation: u64) -> Result<Checkpoint, RuntimeError> {
-        let path = self.dir.join(file_name(generation));
-        let bytes = match std::fs::read(&path) {
+        let bytes = match std::fs::read(self.path(generation)) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(RuntimeError::NoSuchGeneration(generation))
@@ -471,67 +462,25 @@ impl CheckpointStore {
         Ok(ckpt)
     }
 
-    /// Generation numbers currently on disk, newest first. Stray temp
-    /// files and foreign names are ignored.
+    /// The retained generation numbers, newest first.
     ///
     /// # Errors
     ///
-    /// Returns an error when the directory cannot be read.
+    /// None currently; the signature leaves room for a directory scan.
     pub fn generations(&self) -> Result<Vec<u64>, RuntimeError> {
-        let mut gens = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if let Some(gen) = parse_file_name(&entry.file_name().to_string_lossy()) {
-                gens.push(gen);
-            }
-        }
-        gens.sort_unstable_by(|a, b| b.cmp(a));
-        Ok(gens)
-    }
-
-    /// Removes generations beyond the keep limit and stray temp files.
-    /// Best-effort: removal failures are ignored (they only cost disk).
-    fn prune(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut gens = Vec::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(CKPT_PREFIX) && name.ends_with(CKPT_TMP_SUFFIX) {
-                let _ = std::fs::remove_file(entry.path());
-            } else if let Some(gen) = parse_file_name(&name) {
-                gens.push(gen);
-            }
-        }
-        gens.sort_unstable_by(|a, b| b.cmp(a));
-        for &gen in gens.iter().skip(self.keep) {
-            let _ = std::fs::remove_file(self.dir.join(file_name(gen)));
-        }
+        Ok(self
+            .ledger
+            .manifest()
+            .tenant(CKPT_TENANT)
+            .map(|e| e.retained.iter().rev().copied().collect())
+            .unwrap_or_default())
     }
 }
 
-fn file_name(generation: u64) -> String {
-    format!("{CKPT_PREFIX}{generation:020}{CKPT_SUFFIX}")
-}
-
-fn parse_file_name(name: &str) -> Option<u64> {
-    name.strip_prefix(CKPT_PREFIX)?
-        .strip_suffix(CKPT_SUFFIX)?
-        .parse()
-        .ok()
-}
-
-/// Flushes directory metadata so a just-renamed checkpoint survives
-/// power loss. Directory handles are only flushable on Unix; elsewhere
-/// the rename alone is the best the platform offers. (Shared with the
-/// registry's tenant hot-swap, which uses the same atomic-rename path.)
-pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    std::fs::File::open(dir)?.sync_all()?;
-    #[cfg(not(unix))]
-    let _ = dir;
-    Ok(())
+/// Whether `bytes` start like a checkpoint envelope (GHDC v2, kind 3)
+/// — how the ledger tells checkpoints from packed model images.
+pub(crate) fn is_checkpoint(bytes: &[u8]) -> bool {
+    bytes.starts_with(b"GHDC\x02") && bytes.get(5) == Some(&CKPT_KIND)
 }
 
 fn encode_checkpoint(
@@ -557,7 +506,7 @@ fn read_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, ReadModelError> {
+pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, ReadModelError> {
     let body = crate::io::read_envelope(bytes)?;
     if body.len() < 32 {
         return Err(ReadModelError::Io(io::Error::new(
@@ -1215,7 +1164,7 @@ pub struct OnlineRuntime {
 impl OnlineRuntime {
     /// Wraps a freshly trained pipeline at generation 0 (nothing durable
     /// yet — call [`checkpoint`](OnlineRuntime::checkpoint) to publish
-    /// generation 1).
+    /// the store's next generation).
     ///
     /// # Errors
     ///
@@ -1592,7 +1541,7 @@ impl OnlineRuntime {
             }
         }
         let acc = acc.unwrap_or(self.last_ckpt_acc);
-        let generation = self.generation + 1;
+        let generation = self.store.ledger.next_generation(CKPT_TENANT);
         let saved = self.store.save(&self.pipeline, generation, self.seen, acc);
         self.stats.checkpoint_retries += self.store.take_retries();
         match saved {
@@ -1879,7 +1828,7 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_through_the_store() {
         let dir = TempDir::new("roundtrip");
-        let store = store_in(dir.path());
+        let mut store = store_in(dir.path());
         let pipeline = toy_pipeline();
         store.save(&pipeline, 1, 17, 0.75).unwrap();
         let report = store.recover().unwrap();
@@ -1898,7 +1847,7 @@ mod tests {
     #[test]
     fn recovery_skips_corrupt_newest_generation() {
         let dir = TempDir::new("fallback");
-        let store = store_in(dir.path());
+        let mut store = store_in(dir.path());
         let pipeline = toy_pipeline();
         store.save(&pipeline, 1, 10, 0.5).unwrap();
         let path2 = store.save(&pipeline, 2, 20, 0.5).unwrap();
@@ -1916,7 +1865,7 @@ mod tests {
     #[test]
     fn recovery_ignores_stray_tmp_files() {
         let dir = TempDir::new("tmpfiles");
-        let store = store_in(dir.path());
+        let mut store = store_in(dir.path());
         let pipeline = toy_pipeline();
         store.save(&pipeline, 1, 5, 0.0).unwrap();
         // A crash mid-write leaves a half-written temp file behind.
@@ -1933,7 +1882,7 @@ mod tests {
     #[test]
     fn prune_keeps_only_the_newest_generations() {
         let dir = TempDir::new("prune");
-        let store = store_in(dir.path());
+        let mut store = store_in(dir.path());
         let pipeline = toy_pipeline();
         for gen in 1..=5 {
             store.save(&pipeline, gen, gen * 10, 0.5).unwrap();
@@ -2188,29 +2137,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_retries_transient_failures() {
-        let mut failures_left = 2;
-        let policy = RetryPolicy {
-            attempts: 3,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            jitter: false,
-        };
-        let result = policy.run(|| {
-            if failures_left > 0 {
-                failures_left -= 1;
-                Err(io::Error::other("transient"))
-            } else {
-                Ok(7)
-            }
-        });
-        assert_eq!(result.unwrap(), 7);
-        let exhausted: io::Result<()> = policy.run(|| Err(io::Error::other("always")));
-        assert!(exhausted.is_err());
-    }
-
-    #[test]
-    fn retry_counts_and_injected_failures_are_observable() {
+    fn retry_counts_and_transient_failures_are_observable() {
         let mut failures_left = 2;
         let policy = RetryPolicy {
             attempts: 5,
@@ -2243,19 +2170,19 @@ mod tests {
             max_delay: Duration::ZERO,
             jitter: false,
         };
-        let store = CheckpointStore::open(dir.path(), 2, policy).unwrap();
+        let mut store = CheckpointStore::open(dir.path(), 2, policy).unwrap();
         let pipeline = toy_pipeline();
 
         // Two injected failures fit inside the 3-attempt budget: the save
         // succeeds and the retries are visible through `take_retries`.
-        store.inject_write_failures(2);
+        store.fs().fail_next(crate::FsOp::Create, 2);
         store.save(&pipeline, 1, 10, 0.5).unwrap();
         assert_eq!(store.take_retries(), 2);
         assert_eq!(store.take_retries(), 0);
 
         // Three injected failures exhaust the budget: the save fails but the
         // consumed retries are still counted.
-        store.inject_write_failures(3);
+        store.fs().fail_next(crate::FsOp::Create, 3);
         assert!(store.save(&pipeline, 2, 20, 0.5).is_err());
         assert_eq!(store.take_retries(), 2);
         // The failed generation must not be loadable.
@@ -2323,7 +2250,7 @@ mod tests {
     #[test]
     fn truncated_checkpoint_never_loads_silently() {
         let dir = TempDir::new("truncate");
-        let store = store_in(dir.path());
+        let mut store = store_in(dir.path());
         let pipeline = toy_pipeline();
         let path = store.save(&pipeline, 1, 3, 0.5).unwrap();
         let clean = std::fs::read(&path).unwrap();

@@ -145,16 +145,16 @@ proptest! {
         let pruned = prune(&model, &sal, keep).expect("valid keep");
         let compressed = CompressedModel::from_pruned(&pruned, bit_width).expect("quantizes");
 
-        let image = compressed.image_bytes().expect("serializes");
-        let mapping = Mapping::from_bytes(&image).expect("maps");
-        let view = PackedModelView::new(&mapping).expect("sealed image");
+        let packed = compressed.pack().expect("packs");
+        let view = packed.view();
         prop_assert!(view.is_pruned());
         prop_assert_eq!(view.parent_dim(), dim);
         prop_assert_eq!(view.dim(), keep);
         let mask = compressed.support_mask();
         prop_assert_eq!(view.support().expect("pruned view carries a mask"), mask.as_slice());
         prop_assert_eq!(&view.to_quantized().expect("decodes"), compressed.quantized());
-        prop_assert_eq!(compressed.image_bytes().expect("serializes"), image);
+        let again = compressed.pack().expect("packs");
+        prop_assert_eq!(again.bytes(), packed.bytes());
     }
 
     /// keep = 0 is a typed error; keep = dim is the total support and
@@ -169,8 +169,8 @@ proptest! {
         let support: Vec<usize> = (0..dim).collect();
         prop_assert_eq!(full.support(), support.as_slice());
         let compressed = CompressedModel::from_pruned(&full, 4).expect("quantizes");
-        let image = compressed.image_bytes().expect("serializes");
-        let layout = PackedLayout::parse(&image).expect("parses");
+        let packed = compressed.pack().expect("packs");
+        let layout = PackedLayout::parse(packed.bytes()).expect("parses");
         prop_assert!(!layout.is_pruned(), "full support must not store a mask");
     }
 
@@ -182,7 +182,7 @@ proptest! {
         let sal = saliency(&model, &encoded, &labels).expect("valid inputs");
         let pruned = prune(&model, &sal, (dim / 2).max(1)).expect("valid keep");
         let compressed = CompressedModel::from_pruned(&pruned, 2).expect("quantizes");
-        let mut image = compressed.image_bytes().expect("serializes");
+        let mut image = compressed.pack().expect("packs").bytes().to_vec();
 
         let layout = PackedLayout::parse(&image).expect("parses");
         let span = layout.total_len() - layout.support_offset();
@@ -206,7 +206,7 @@ proptest! {
         let sal = saliency(&model, &encoded, &labels).expect("valid inputs");
         let pruned = prune(&model, &sal, (dim / 2).max(1)).expect("valid keep");
         let compressed = CompressedModel::from_pruned(&pruned, 2).expect("quantizes");
-        let image = compressed.image_bytes().expect("serializes");
+        let image = compressed.pack().expect("packs").bytes().to_vec();
         let layout = PackedLayout::parse(&image).expect("parses");
 
         // Flip a mask bit inside the parent space so only the popcount

@@ -217,7 +217,7 @@ proptest! {
         let (mut ledger, _) = Ledger::open(&dir).expect("scratch dir is creatable");
         prop_assert!(ledger.is_writer());
         for _ in 0..n_gens {
-            let (gen, _, _) = ledger.publish_image("acme", &image).expect("clean publish");
+            let (gen, _) = ledger.publish_image("acme", &image).expect("clean publish");
             ledger.commit_live("acme", gen).expect("clean commit");
         }
         drop(ledger);

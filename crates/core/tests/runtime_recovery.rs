@@ -1,15 +1,21 @@
 //! Crash-safety of the checkpoint store: a checkpoint truncated at any
 //! byte offset, or with any single corrupted byte, must either fall
 //! back to the previous intact generation or fail cleanly with a typed
-//! error — never panic, never load silently-wrong weights.
+//! error — never panic, never load silently-wrong weights. A save
+//! killed at any filesystem boundary, a directory in the pre-ledger
+//! `ckpt-<gen>.ghdc` layout, a second store on a held directory, and a
+//! skipped corrupt generation each leave a recoverable directory.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use generic_hdc::encoding::GenericEncoderSpec;
 use generic_hdc::io::ReadModelError;
-use generic_hdc::runtime::{CheckpointStore, RetryPolicy, RuntimeError};
-use generic_hdc::HdcPipeline;
+use generic_hdc::runtime::{
+    CheckpointAction, CheckpointStore, OnlineRuntime, RetryPolicy, RuntimeConfig, RuntimeError,
+};
+use generic_hdc::{FsOp, HdcPipeline};
 use proptest::prelude::*;
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -47,11 +53,42 @@ fn sample_pipeline(seed: u64) -> HdcPipeline {
     HdcPipeline::train(spec, &features, &labels, 2, 3).expect("valid inputs")
 }
 
+/// The pipeline's serialized bytes: equal bytes mean equal weights.
+fn weights(pipeline: &HdcPipeline) -> Vec<u8> {
+    let mut buf = Vec::new();
+    pipeline.write_to(&mut buf).expect("in-memory write");
+    buf
+}
+
+/// Sorted file names in `dir`.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("dir readable")
+        .map(|e| {
+            e.expect("entry readable")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// Retry without sleeping: injected crashes fail every later attempt.
+const NO_SLEEP: RetryPolicy = RetryPolicy {
+    attempts: 3,
+    base_delay: Duration::ZERO,
+    max_delay: Duration::ZERO,
+    jitter: false,
+};
+
 /// A store with generation 1 (intact, from `seed = 5`) and generation 2
 /// (from `seed = 9`, to be corrupted). Returns the clean gen-2 bytes
 /// and the gen-2 path.
 fn two_generation_store(dir: &Path) -> (CheckpointStore, Vec<u8>, PathBuf) {
-    let store = CheckpointStore::open(dir, 4, RetryPolicy::default()).expect("dir is creatable");
+    let mut store =
+        CheckpointStore::open(dir, 4, RetryPolicy::default()).expect("dir is creatable");
     store
         .save(&sample_pipeline(5), 1, 10, 0.5)
         .expect("save generation 1");
@@ -152,4 +189,145 @@ proptest! {
         prop_assert!(store.load_generation(2).is_err());
         assert_falls_back_to_gen1(&store, "garbage generation 2");
     }
+}
+
+/// A save killed at every filesystem boundary of the image write
+/// (occurrence 1) and of the manifest commit (occurrence 2) leaves a
+/// directory a fresh store recovers: the old generation when the crash
+/// came before the image rename, the new one after it — with exactly
+/// the saved weights, and with no staging file left behind.
+#[test]
+fn killed_saves_recover_the_newest_renamed_generation() {
+    let old = sample_pipeline(5);
+    let new = sample_pipeline(9);
+    for op in [
+        FsOp::Create,
+        FsOp::Write,
+        FsOp::Sync,
+        FsOp::Rename,
+        FsOp::SyncDir,
+    ] {
+        for nth in [1, 2] {
+            let context = format!("crash at {op} #{nth}");
+            let dir = TempDir::new("kill-save");
+            let mut store =
+                CheckpointStore::open(dir.path(), 4, NO_SLEEP).expect("dir is creatable");
+            store.save(&old, 1, 10, 0.5).expect("save generation 1");
+            store.fs().crash_at(op, nth);
+            assert!(store.save(&new, 2, 20, 0.5).is_err(), "{context}");
+            assert!(store.fs().crashed(), "{context}");
+            drop(store);
+
+            let store = CheckpointStore::open(dir.path(), 4, NO_SLEEP).expect("reopens");
+            let ckpt = store
+                .recover()
+                .expect("scan")
+                .checkpoint
+                .unwrap_or_else(|| panic!("{context}: a generation must survive"));
+            let renamed = nth == 2 || op == FsOp::SyncDir;
+            let (generation, seen, saved) = if renamed {
+                (2, 20, &new)
+            } else {
+                (1, 10, &old)
+            };
+            assert_eq!(ckpt.generation, generation, "{context}");
+            assert_eq!(ckpt.seen, seen, "{context}");
+            assert_eq!(weights(&ckpt.pipeline), weights(saved), "{context}");
+            let names = listing(dir.path());
+            assert!(
+                names.iter().all(|n| !n.ends_with(".tmp")),
+                "{context}: {names:?}"
+            );
+        }
+    }
+}
+
+/// A directory written in the pre-ledger layout — `ckpt-<gen:020>.ghdc`
+/// files plus a torn staging file, no manifest — recovers the same
+/// generation and weights, and the next save is numbered after it.
+#[test]
+fn legacy_checkpoint_directories_are_adopted() {
+    let staging = TempDir::new("legacy-src");
+    let mut store = CheckpointStore::open(staging.path(), 4, NO_SLEEP).expect("dir is creatable");
+    store.save(&sample_pipeline(5), 1, 10, 0.5).expect("save 1");
+    store.save(&sample_pipeline(9), 2, 20, 0.5).expect("save 2");
+
+    let dir = TempDir::new("legacy");
+    for gen in [1u64, 2] {
+        std::fs::copy(
+            store.path(gen),
+            dir.path().join(format!("ckpt-{gen:020}.ghdc")),
+        )
+        .expect("copy checkpoint");
+    }
+    std::fs::write(
+        dir.path().join("ckpt-00000000000000000003.ghdc.tmp"),
+        b"torn half-written checkpoint",
+    )
+    .expect("temp dir writable");
+
+    let legacy = CheckpointStore::open(dir.path(), 4, NO_SLEEP).expect("adopts");
+    let (mut rt, report) =
+        OnlineRuntime::recover(legacy, RuntimeConfig::default()).expect("recovers");
+    assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+    assert_eq!(rt.generation(), 2);
+    assert_eq!(rt.seen(), 20);
+    assert_eq!(weights(rt.pipeline()), weights(&sample_pipeline(9)));
+    assert!(matches!(
+        rt.checkpoint().expect("checkpoint"),
+        CheckpointAction::Saved { generation: 3 }
+    ));
+    let names = listing(dir.path());
+    assert!(
+        names
+            .iter()
+            .all(|n| !n.starts_with("ckpt-") && !n.ends_with(".tmp")),
+        "{names:?}"
+    );
+}
+
+/// A second store on a directory a live store holds refuses to save
+/// and writes nothing; the holder keeps saving.
+#[test]
+fn a_store_without_the_writer_lock_refuses_to_save() {
+    let dir = TempDir::new("reader");
+    let mut holder = CheckpointStore::open(dir.path(), 4, NO_SLEEP).expect("dir is creatable");
+    holder
+        .save(&sample_pipeline(5), 1, 10, 0.5)
+        .expect("save 1");
+
+    let mut reader = CheckpointStore::open(dir.path(), 4, NO_SLEEP).expect("opens as reader");
+    let before = listing(dir.path());
+    assert!(reader.save(&sample_pipeline(9), 2, 20, 0.5).is_err());
+    assert_eq!(listing(dir.path()), before);
+
+    holder
+        .save(&sample_pipeline(9), 2, 20, 0.5)
+        .expect("holder saves");
+}
+
+/// A corrupt newest generation is skipped by recovery, never
+/// overwritten: the next checkpoint is numbered past it and its file
+/// stays byte-for-byte as it was.
+#[test]
+fn skipped_corrupt_generations_are_never_rewritten() {
+    let dir = TempDir::new("skip");
+    let (store, clean, path2) = two_generation_store(dir.path());
+    drop(store);
+    let mut corrupted = clean;
+    let mid = corrupted.len() / 2;
+    corrupted[mid] ^= 0x20;
+    std::fs::write(&path2, &corrupted).expect("temp dir writable");
+
+    let store = CheckpointStore::open(dir.path(), 4, NO_SLEEP).expect("reopens");
+    let (mut rt, report) =
+        OnlineRuntime::recover(store, RuntimeConfig::default()).expect("recovers");
+    assert_eq!(rt.generation(), 1);
+    assert!(report.rejected.iter().any(|(g, _)| *g == 2));
+    assert!(matches!(
+        rt.checkpoint().expect("checkpoint"),
+        CheckpointAction::Saved { generation: 3 }
+    ));
+    assert_eq!(rt.generation(), 3);
+    assert_eq!(std::fs::read(&path2).expect("generation 2 kept"), corrupted);
 }

@@ -13,7 +13,7 @@ use generic_hdc::runtime::{
     RuntimeConfig, RuntimeStats,
 };
 use generic_hdc::serve::{ServeConfig, ServeError, Server, SubmitError};
-use generic_hdc::{HdcPipeline, NormMode, PredictOptions};
+use generic_hdc::{FsOp, HdcPipeline, NormMode, PredictOptions};
 
 static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -300,9 +300,9 @@ fn checkpoint_failures_are_retried_then_degraded() {
         },
     )
     .expect("dir is creatable");
-    // The clone shares the injection counters with the store the
+    // The fs handle shares its injection counters with the store the
     // runtime owns — chaos can arm failures while the server runs.
-    let injector = store.clone();
+    let fs = store.fs();
     let config = RuntimeConfig {
         checkpoint_every: 0,
         ..RuntimeConfig::default()
@@ -318,7 +318,7 @@ fn checkpoint_failures_are_retried_then_degraded() {
     }
     // Two transient failures: the final checkpoint's 3-attempt budget
     // absorbs them.
-    injector.inject_write_failures(2);
+    fs.fail_next(FsOp::Create, 2);
     let report = server.drain().expect("drain succeeds");
     assert!(
         report.final_checkpoint_ok,
