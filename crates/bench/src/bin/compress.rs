@@ -312,8 +312,7 @@ fn main() {
             capacity_ok,
         ),
     );
-    std::fs::write("BENCH_compress.json", &json).expect("write BENCH_compress.json");
-    println!("wrote BENCH_compress.json");
+    generic_bench::report::write_record("compress", smoke, &json);
 
     let mut failed = false;
     for result in &results {

@@ -137,8 +137,7 @@ fn main() {
         &divergences,
         &self_check,
     );
-    std::fs::write("BENCH_conformance.json", &json).expect("write BENCH_conformance.json");
-    println!("wrote BENCH_conformance.json");
+    generic_bench::report::write_record("conformance", smoke, &json);
 
     let mut failed = false;
     if !divergences.is_empty() {

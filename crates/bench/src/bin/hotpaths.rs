@@ -144,8 +144,7 @@ fn main() {
     println!("\n{}", render_table(&header, &rows));
 
     let json = render_json(&reports, &config, threads, seed, smoke);
-    std::fs::write("BENCH_hotpaths.json", &json).expect("write BENCH_hotpaths.json");
-    println!("wrote BENCH_hotpaths.json");
+    generic_bench::report::write_record("hotpaths", smoke, &json);
 
     let encode_speedup = reports[0].speedup_of("encode_bins");
     let e2e_speedup = reports[0].speedup_of("train_retrain_e2e");

@@ -290,8 +290,7 @@ fn main() {
         budget_ok,
         &stats_json(&stats),
     );
-    std::fs::write("BENCH_registry.json", &json).expect("write BENCH_registry.json");
-    println!("wrote BENCH_registry.json");
+    generic_bench::report::write_record("registry", smoke, &json);
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut failed = false;

@@ -652,8 +652,7 @@ fn main() {
     let json = render_json(
         &config, seed, smoke, cores, &runs, speedup, enforced, passed, &net,
     );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
+    generic_bench::report::write_record("serve", smoke, &json);
 
     let mut failed = false;
     if enforced && !passed {

@@ -36,6 +36,7 @@
 //! Usage: `cargo run -p generic-bench --release --bin soak
 //! [seed] [--smoke]`
 
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -948,10 +949,20 @@ fn main() {
     let live_path = registry
         .tenant_path(probe_tenant)
         .expect("probe tenant resolves");
-    let mut bytes = std::fs::read(&live_path).expect("live image readable");
+    // Flip one byte in place, as bit rot would. Rewriting the file
+    // would truncate it first, and the concurrent reader may have this
+    // very image mapped: touching a mapped page past the new end of
+    // file kills the process with SIGBUS.
+    let bytes = std::fs::read(&live_path).expect("live image readable");
     let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&live_path, &bytes).expect("scratch dir writable");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&live_path)
+        .and_then(|mut file| {
+            file.seek(SeekFrom::Start(mid as u64))?;
+            file.write_all(&[bytes[mid] ^ 0x40])
+        })
+        .expect("scratch dir writable");
     registry.evict(probe_tenant);
     let rolled_bits = match registry.get(probe_tenant) {
         Ok(handle) => Some(
@@ -1079,8 +1090,7 @@ fn main() {
         &ledger_summary,
         &gates,
     );
-    std::fs::write("BENCH_soak.json", &json).expect("write BENCH_soak.json");
-    println!("wrote BENCH_soak.json");
+    generic_bench::report::write_record("soak", smoke, &json);
 
     if gates.iter().any(|g| !g.passed) {
         for gate in gates.iter().filter(|g| !g.passed) {

@@ -266,8 +266,7 @@ fn main() {
         zero_alloc,
         allocation_events,
     );
-    std::fs::write("BENCH_throughput.json", &json).expect("write BENCH_throughput.json");
-    println!("wrote BENCH_throughput.json");
+    generic_bench::report::write_record("throughput", smoke, &json);
 
     println!(
         "gates: B=64 {batch64_speedup:.2}x vs scalar single-query (need \

@@ -1,4 +1,29 @@
-//! Plain-text table formatting for the figure/table binaries.
+//! Plain-text table formatting for the figure/table binaries, and the
+//! one place the self-checking binaries write their `BENCH_*.json`
+//! records.
+
+use std::path::PathBuf;
+
+/// Writes the JSON record of the `name` bench binary. A full run writes
+/// `BENCH_<name>.json` in the working directory — the committed record;
+/// a `--smoke` run writes `target/smoke/BENCH_<name>.json`, so checks
+/// never overwrite the committed full-mode figures.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_record(name: &str, smoke: bool, json: &str) {
+    let file = format!("BENCH_{name}.json");
+    let path = if smoke {
+        let dir = PathBuf::from("target").join("smoke");
+        std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+        dir.join(file)
+    } else {
+        PathBuf::from(file)
+    };
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
 
 /// Renders a fixed-width table: header row + data rows, first column
 /// left-aligned, the rest right-aligned.

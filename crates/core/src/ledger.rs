@@ -22,9 +22,9 @@
 //!   non-live generations.
 //! - Cross-process coherence: an advisory `flock` on `MANIFEST.lock`
 //!   makes one process the writer (the lock dies with the process, so
-//!   `kill -9` never wedges the directory), and a cheap stat-based
-//!   generation watch lets reader processes pick up another process's
-//!   publishes and rollbacks.
+//!   `kill -9` never wedges the directory), and a generation watch that
+//!   compares the manifest's bytes lets reader processes pick up every
+//!   publish and rollback of another process.
 //! - Every mutating filesystem boundary routes through an injectable
 //!   [`LedgerFs`], so crash-fault campaigns can fail or kill the
 //!   process at exact create/write/sync/rename points.
@@ -43,7 +43,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use crate::io::PackedLayout;
 use crate::mapped::{try_lock_exclusive, Mapping};
@@ -633,21 +633,6 @@ impl FsckReport {
     }
 }
 
-/// Stamp of the manifest file used by the cheap generation watch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FileStamp {
-    len: u64,
-    modified: Option<SystemTime>,
-}
-
-fn stamp(path: &Path) -> Option<FileStamp> {
-    let meta = std::fs::metadata(path).ok()?;
-    Some(FileStamp {
-        len: meta.len(),
-        modified: meta.modified().ok(),
-    })
-}
-
 /// The per-directory generation ledger. Not internally synchronized —
 /// the registry wraps it in a mutex; the CLI drives it single-threaded.
 #[derive(Debug)]
@@ -661,7 +646,11 @@ pub struct Ledger {
     /// directory.
     lock: Option<File>,
     manifest: Manifest,
-    watch: Option<FileStamp>,
+    /// The manifest bytes last read or written — what the generation
+    /// watch compares the file against. Every commit bumps the epoch,
+    /// so every commit changes these bytes, whatever the file's length
+    /// and timestamp do.
+    watch: Vec<u8>,
     /// Write retries consumed since the last [`Ledger::take_retries`].
     retries: u64,
 }
@@ -701,7 +690,7 @@ impl Ledger {
             fs,
             lock: None,
             manifest: Manifest::default(),
-            watch: None,
+            watch: Vec::new(),
             retries: 0,
         };
         let _ = ledger.try_acquire_writer();
@@ -767,7 +756,7 @@ impl Ledger {
             // retries the repair).
             let _ = ledger.write_manifest();
         }
-        ledger.watch = stamp(&manifest_path);
+        ledger.watch = std::fs::read(&manifest_path).unwrap_or_default();
         outcome.elapsed = start.elapsed();
         Ok((ledger, outcome))
     }
@@ -963,8 +952,8 @@ impl Ledger {
         }
     }
 
-    /// Re-stats the manifest file and, when it changed on disk,
-    /// re-reads it. Returns the tenants whose live generation changed
+    /// Re-reads the manifest file and, when its bytes changed on disk,
+    /// re-parses it. Returns the tenants whose live generation changed
     /// (including appeared/disappeared) — the caller invalidates their
     /// resident state. A manifest that fails to parse mid-watch is
     /// ignored (the previous in-memory view keeps serving; the next
@@ -972,19 +961,18 @@ impl Ledger {
     ///
     /// # Errors
     ///
-    /// None currently — stat and read failures are treated as "no
-    /// change"; the signature leaves room for stricter modes.
+    /// None currently — read failures are treated as "no change"; the
+    /// signature leaves room for stricter modes.
     pub fn refresh_if_changed(&mut self) -> io::Result<Vec<String>> {
-        let path = self.manifest_path();
-        let now = stamp(&path);
-        if now == self.watch {
-            return Ok(Vec::new());
-        }
-        self.watch = now;
-        let Ok(bytes) = std::fs::read(&path) else {
+        let Ok(bytes) = std::fs::read(self.manifest_path()) else {
             return Ok(Vec::new());
         };
-        let Ok(fresh) = Manifest::parse(&bytes) else {
+        if bytes == self.watch {
+            return Ok(Vec::new());
+        }
+        let fresh = Manifest::parse(&bytes);
+        self.watch = bytes;
+        let Ok(fresh) = fresh else {
             return Ok(Vec::new());
         };
         let mut changed = Vec::new();
@@ -1104,7 +1092,7 @@ impl Ledger {
         let path = self.manifest_path();
         let bytes = self.manifest.serialize();
         let result = self.write_atomic(&path, &bytes);
-        self.watch = stamp(&path);
+        self.watch = std::fs::read(&path).unwrap_or_default();
         result
     }
 

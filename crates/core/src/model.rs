@@ -842,7 +842,7 @@ impl HdcModel {
 /// scores are never selected (all comparisons against them are false)
 /// and an empty slice — impossible for a constructed model, which always
 /// has at least one class — maps to index 0.
-fn argmax(scores: &[f64]) -> usize {
+pub(crate) fn argmax(scores: &[f64]) -> usize {
     let mut best = f64::NEG_INFINITY;
     let mut idx = 0;
     for (i, &s) in scores.iter().enumerate() {

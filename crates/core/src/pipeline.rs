@@ -6,7 +6,7 @@ use std::io::{self, Read, Write};
 
 use crate::encoding::{Encoder, GenericEncoder, GenericEncoderSpec};
 use crate::io::ReadModelError;
-use crate::{HdcError, HdcModel, IntHv, PredictOptions, Quantizer};
+use crate::{HdcError, HdcModel, IntHv, Quantizer};
 
 /// A trained encode-and-classify pipeline.
 ///
@@ -97,19 +97,6 @@ impl HdcPipeline {
     /// Returns an error on a wrong-width sample.
     pub fn predict(&self, sample: &[f64]) -> Result<usize, HdcError> {
         Ok(self.model.predict(&self.encoder.encode(sample)?))
-    }
-
-    /// Encodes and classifies one raw sample under explicit
-    /// dimension-reduction options — the deadline-aware serving path of
-    /// [`runtime`](crate::runtime). Fully validated: never panics.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on a wrong-width sample or out-of-range
-    /// `opts.dims`.
-    pub fn predict_reduced(&self, sample: &[f64], opts: PredictOptions) -> Result<usize, HdcError> {
-        let encoded = self.encoder.encode(sample)?;
-        self.model.try_predict_with(&encoded, opts)
     }
 
     /// Encodes one raw sample (e.g. for clustering or custom scoring).

@@ -33,7 +33,7 @@
 //! - Cross-process coherence: the first registry over a directory takes
 //!   an advisory `flock` and becomes the writer; further registries
 //!   (other processes, or other instances in this one) open as readers
-//!   whose [`ModelRegistry::get`] cheaply re-stats the manifest every
+//!   whose [`ModelRegistry::get`] re-reads the manifest every
 //!   `watch_every` admissions and refreshes changed tenants — so a
 //!   serving process picks up another process's publishes and
 //!   rollbacks at admission time without restarting.
@@ -79,8 +79,8 @@ pub struct RegistryConfig {
     /// Generations retained per tenant for rollback (≥ 1; older images
     /// are garbage-collected at commit).
     pub keep_generations: usize,
-    /// A reader registry re-stats the manifest every `watch_every`-th
-    /// admission to pick up cross-process publishes (1 = every call).
+    /// A reader registry re-reads the manifest every `watch_every`-th
+    /// admission to pick up cross-process commits (1 = every call).
     pub watch_every: u64,
     /// Backoff policy for transient publish/manifest I/O faults (the
     /// same ledger write path `CheckpointStore::save` uses).
@@ -411,9 +411,9 @@ impl ModelRegistry {
     /// cold map-and-validate of the live generation with auto-rollback
     /// to the newest valid retained generation when the live image
     /// fails validation. Touches the LRU and evicts down to the byte
-    /// budget after a cold load. Every `watch_every`-th call re-stats
-    /// the manifest so cross-process publishes are picked up at
-    /// admission time.
+    /// budget after a cold load. Every `watch_every`-th call re-reads
+    /// the manifest, so every cross-process publish and rollback is
+    /// picked up at admission time.
     ///
     /// # Errors
     ///

@@ -17,9 +17,15 @@
 //!    budget; the [`DegradationLadder`] built on the per-128-dimension
 //!    sub-norm reduction tiers (§4.3.3) picks the widest tier whose
 //!    EWMA-estimated latency fits the budget, escalating back to full
-//!    dimensionality when slack allows. Transient checkpoint I/O
+//!    dimensionality when slack allows. One scoring routine serves
+//!    every Infer — [`OnlineRuntime::infer`]/[`infer_batch`] and each
+//!    worker shard of the sharded [`Server`](crate::Server) own a copy:
+//!    it sanitizes and encodes each row, picks one tier per batch,
+//!    scores, feeds the ladder and counts. Transient checkpoint I/O
 //!    failures are retried with bounded exponential backoff
 //!    ([`RetryPolicy`]).
+//!
+//! [`infer_batch`]: OnlineRuntime::infer_batch
 //! 3. **Guarded online updates** — inputs are sanitized (NaN/Inf,
 //!    wrong width, out-of-range features, bad labels are quarantined
 //!    into a bounded dead-letter buffer, never a panic), drift triggers
@@ -38,8 +44,13 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::io::ReadModelError;
+use crate::kernels;
 use crate::ledger::{gen_file_name, Ledger, LedgerFs};
-use crate::{HdcError, HdcPipeline, IntHv, NormMode, PredictOptions, ScoreBatch, SUB_NORM_CHUNK};
+use crate::model::argmax;
+use crate::{
+    HdcError, HdcPipeline, IntHv, NormMode, PredictOptions, ScoreBatch, TenantHandle,
+    SUB_NORM_CHUNK,
+};
 
 /// Checkpoint files are GHDC v2 envelopes with this `kind` byte: a
 /// runtime header (generation, samples seen, held-out accuracy) wrapping
@@ -564,22 +575,20 @@ pub struct DegradationLadder {
     ewma_ns: Vec<f64>,
     observed: Vec<bool>,
     hits: Vec<u64>,
-    alpha: f64,
 }
 
+/// EWMA smoothing factor of every ladder's latency estimates.
+const LADDER_ALPHA: f64 = 0.2;
+
 impl DegradationLadder {
-    /// Builds the ladder for a model of dimensionality `dim`; `alpha` is
-    /// the EWMA smoothing factor in `(0, 1]`.
+    /// Builds the ladder for a model of dimensionality `dim`.
     ///
     /// # Errors
     ///
-    /// Returns an error when `dim == 0` or `alpha` is outside `(0, 1]`.
-    pub fn new(dim: usize, alpha: f64) -> Result<Self, HdcError> {
+    /// Returns an error when `dim == 0`.
+    pub fn new(dim: usize) -> Result<Self, HdcError> {
         if dim == 0 {
             return Err(HdcError::invalid("dim", "must be positive"));
-        }
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(HdcError::invalid("alpha", "must be in (0, 1]"));
         }
         let mut tiers = Vec::new();
         let mut d = SUB_NORM_CHUNK;
@@ -594,7 +603,6 @@ impl DegradationLadder {
             ewma_ns: vec![0.0; n],
             observed: vec![false; n],
             hits: vec![0; n],
-            alpha,
         })
     }
 
@@ -658,12 +666,6 @@ impl DegradationLadder {
         0
     }
 
-    /// True when even the narrowest tier's estimate exceeds
-    /// `budget_ns` — the request is hopeless even fully degraded.
-    pub fn hopeless(&self, budget_ns: u64) -> bool {
-        matches!(self.estimate_ns(0), Some(est) if est > budget_ns as f64)
-    }
-
     /// Folds one observed serve (`elapsed` at `tier`) into the tier's
     /// EWMA and bumps its counter.
     ///
@@ -673,12 +675,197 @@ impl DegradationLadder {
     pub fn observe(&mut self, tier: usize, elapsed: Duration) {
         let ns = elapsed.as_nanos() as f64;
         if self.observed[tier] {
-            self.ewma_ns[tier] += self.alpha * (ns - self.ewma_ns[tier]);
+            self.ewma_ns[tier] += LADDER_ALPHA * (ns - self.ewma_ns[tier]);
         } else {
             self.ewma_ns[tier] = ns;
             self.observed[tier] = true;
         }
         self.hits[tier] += 1;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Scoring routine
+// ---------------------------------------------------------------------------
+
+/// Width and finiteness: the checks admission runs before it queues a
+/// request, and the first checks of every sanitizer.
+pub(crate) fn check_row(features: &[f64], n_features: usize) -> Result<(), RejectReason> {
+    if features.len() != n_features {
+        return Err(RejectReason::WrongWidth {
+            expected: n_features,
+            actual: features.len(),
+        });
+    }
+    match features.iter().position(|v| !v.is_finite()) {
+        Some(column) => Err(RejectReason::NonFinite { column }),
+        None => Ok(()),
+    }
+}
+
+/// [`check_row`], then — unless `range_slack` is infinite — the range
+/// check against the spans the quantizer was fitted on (see
+/// [`RuntimeConfig::range_slack`]).
+fn sanitize(
+    pipeline: &HdcPipeline,
+    features: &[f64],
+    range_slack: f64,
+) -> Result<(), RejectReason> {
+    let encoder = pipeline.encoder();
+    check_row(features, encoder.spec().n_features())?;
+    if range_slack.is_finite() {
+        let quantizer = encoder.quantizer();
+        let bounds = quantizer.mins().iter().zip(quantizer.spans());
+        for (column, (&v, (&min, &span))) in features.iter().zip(bounds).enumerate() {
+            let extent = if span > 0.0 { span } else { 1.0 };
+            if v < min - range_slack * extent || v > min + (1.0 + range_slack) * extent {
+                return Err(RejectReason::OutOfRange { column, value: v });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One Infer row as the scoring routine sees it.
+pub(crate) trait InferRow {
+    /// The raw features.
+    fn features(&self) -> &[f64];
+
+    /// The mapped model a tenant-routed row was pinned to at admission;
+    /// `None` scores against the shared pipeline.
+    fn tenant(&self) -> Option<&TenantHandle> {
+        None
+    }
+}
+
+impl<T: AsRef<[f64]>> InferRow for T {
+    fn features(&self) -> &[f64] {
+        self.as_ref()
+    }
+}
+
+/// What the scoring routine answered for one row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scored {
+    pub(crate) label: usize,
+    pub(crate) dims_used: usize,
+    pub(crate) tier: usize,
+    pub(crate) degraded: bool,
+    /// The batch's wall-clock time divided by the shared rows it
+    /// scored — the figure the ladder observed.
+    pub(crate) elapsed: Duration,
+}
+
+/// The one routine that serves Infer rows: every worker shard owns one,
+/// and so does [`OnlineRuntime`]. It owns all of its scratch and takes
+/// no lock.
+#[derive(Debug)]
+pub(crate) struct Scorer {
+    ladder: DegradationLadder,
+    engine: ScoreBatch,
+    encoded: Vec<IntHv>,
+    preds: Vec<usize>,
+    tenant_scores: Vec<f64>,
+    verdicts: Vec<Result<Scored, RuntimeError>>,
+}
+
+impl Scorer {
+    /// A routine for models of dimensionality `dim`.
+    pub(crate) fn new(dim: usize) -> Result<Self, HdcError> {
+        Ok(Scorer {
+            ladder: DegradationLadder::new(dim)?,
+            engine: ScoreBatch::new(),
+            encoded: Vec::new(),
+            preds: Vec::new(),
+            tenant_scores: Vec::new(),
+            verdicts: Vec::new(),
+        })
+    }
+
+    /// The ladder the routine picks tiers from.
+    pub(crate) fn ladder(&self) -> &DegradationLadder {
+        &self.ladder
+    }
+
+    /// Serves one micro-batch against `pipeline`. Each row is sanitized
+    /// (`range_slack` as in [`RuntimeConfig::range_slack`]) and encoded;
+    /// one ladder tier, chosen from the tightest budget `budget_ns`,
+    /// serves the whole batch. Shared rows are scored in one
+    /// [`ScoreBatch`] pass at that tier, tenant rows against their
+    /// pinned view at full width (ties to the last maximum). The ladder
+    /// observes the batch once if it had shared rows; the counters go
+    /// into `stats`, and one verdict per row, in row order, waits in
+    /// [`drain_verdicts`](Scorer::drain_verdicts). Returns whether the
+    /// ladder observed this batch.
+    pub(crate) fn serve<R: InferRow>(
+        &mut self,
+        pipeline: &HdcPipeline,
+        rows: &[R],
+        budget_ns: Option<u64>,
+        range_slack: f64,
+        stats: &mut RuntimeStats,
+    ) -> bool {
+        let tier = self.ladder.choose(budget_ns);
+        let dims = self.ladder.dims(tier);
+        let full = self.ladder.full_tier();
+        let start = Instant::now();
+        self.encoded.clear();
+        self.verdicts.clear();
+        for row in rows {
+            let verdict = sanitize(pipeline, row.features(), range_slack)
+                .map_err(RuntimeError::Rejected)
+                .and_then(|()| pipeline.encode(row.features()).map_err(RuntimeError::Model))
+                .and_then(|hv| {
+                    let Some(view) = row.tenant().map(TenantHandle::view) else {
+                        self.encoded.push(hv);
+                        // The label arrives with the batched pass below.
+                        return Ok((0, dims, tier));
+                    };
+                    let query = hv.to_binary();
+                    view.scores_into_with(&query, kernels::active(), &mut self.tenant_scores)?;
+                    Ok((argmax(&self.tenant_scores), view.dim(), full))
+                })
+                .map(|(label, dims_used, tier)| Scored {
+                    label,
+                    dims_used,
+                    tier,
+                    degraded: tier < full,
+                    elapsed: Duration::ZERO,
+                });
+            self.verdicts.push(verdict);
+        }
+        let opts = PredictOptions::reduced(dims, NormMode::Updated);
+        self.engine
+            .predict_into(pipeline.model(), &self.encoded, opts, &mut self.preds);
+        let scored = self.preds.len();
+        let elapsed = start.elapsed() / scored.max(1) as u32;
+        if scored > 0 {
+            self.ladder.observe(tier, elapsed);
+        }
+
+        stats.infer_requests += rows.len() as u64;
+        let mut preds = self.preds.iter();
+        for (row, verdict) in rows.iter().zip(&mut self.verdicts) {
+            let Ok(answer) = verdict else {
+                stats.rejected += 1;
+                continue;
+            };
+            if row.tenant().is_none() {
+                answer.label = preds.next().copied().unwrap_or_default();
+            }
+            answer.elapsed = elapsed;
+            stats.answered += 1;
+            if answer.degraded {
+                stats.degraded += 1;
+            }
+        }
+        scored > 0
+    }
+
+    /// Takes the verdicts of the last [`serve`](Scorer::serve), one per
+    /// row in row order.
+    pub(crate) fn drain_verdicts(&mut self) -> std::vec::Drain<'_, Result<Scored, RuntimeError>> {
+        self.verdicts.drain(..)
     }
 }
 
@@ -760,8 +947,6 @@ impl SnapshotCell {
 pub struct RuntimeConfig {
     /// Labeled samples between automatic checkpoints (0 = manual only).
     pub checkpoint_every: u64,
-    /// EWMA smoothing factor of the ladder's latency estimates.
-    pub ladder_alpha: f64,
     /// Replay-buffer capacity (recent clean labeled samples, encoded;
     /// the corpus drift-triggered retraining runs on).
     pub replay_capacity: usize,
@@ -799,7 +984,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             checkpoint_every: 256,
-            ladder_alpha: 0.2,
             replay_capacity: 1024,
             holdout_capacity: 256,
             holdout_every: 10,
@@ -1067,7 +1251,8 @@ pub struct InferOutcome {
     pub tier: usize,
     /// Whether the request was served below full dimensionality.
     pub degraded: bool,
-    /// Wall-clock serving time.
+    /// Wall-clock serving time, sanitization included; for a batch, the
+    /// batch's time divided by the rows it scored.
     pub elapsed: Duration,
     /// Whether the answer landed within its budget (always true without
     /// a budget).
@@ -1136,7 +1321,7 @@ pub struct LearnOutcome {
 pub struct OnlineRuntime {
     pipeline: HdcPipeline,
     store: CheckpointStore,
-    ladder: DegradationLadder,
+    scorer: Scorer,
     config: RuntimeConfig,
     stats: RuntimeStats,
     replay: VecDeque<(IntHv, usize)>,
@@ -1153,12 +1338,6 @@ pub struct OnlineRuntime {
     /// at every durability boundary (checkpoint, retrain, rollback).
     snapshots: Arc<SnapshotCell>,
     snapshot_version: u64,
-    /// Reusable batched-scoring engine and scratch for
-    /// [`infer_batch`](OnlineRuntime::infer_batch) — no steady-state
-    /// allocation in the scoring loop.
-    batch_engine: ScoreBatch,
-    batch_encoded: Vec<IntHv>,
-    batch_preds: Vec<usize>,
 }
 
 impl OnlineRuntime {
@@ -1174,7 +1353,7 @@ impl OnlineRuntime {
         store: CheckpointStore,
         config: RuntimeConfig,
     ) -> Result<Self, RuntimeError> {
-        let ladder = DegradationLadder::new(pipeline.model().dim(), config.ladder_alpha)?;
+        let scorer = Scorer::new(pipeline.model().dim())?;
         if config.holdout_every < 2 {
             return Err(RuntimeError::Model(HdcError::invalid(
                 "holdout_every",
@@ -1188,7 +1367,7 @@ impl OnlineRuntime {
         Ok(OnlineRuntime {
             pipeline,
             store,
-            ladder,
+            scorer,
             config,
             stats: RuntimeStats::default(),
             replay: VecDeque::new(),
@@ -1203,9 +1382,6 @@ impl OnlineRuntime {
             labeled_counter: 0,
             snapshots,
             snapshot_version: 0,
-            batch_engine: ScoreBatch::new(),
-            batch_encoded: Vec::new(),
-            batch_preds: Vec::new(),
         })
     }
 
@@ -1245,7 +1421,7 @@ impl OnlineRuntime {
 
     /// The degradation ladder (tier widths, estimates, counters).
     pub fn ladder(&self) -> &DegradationLadder {
-        &self.ladder
+        self.scorer.ladder()
     }
 
     /// A handle to the RCU snapshot cell. Hand clones of this to reader
@@ -1311,7 +1487,8 @@ impl OnlineRuntime {
         Some(correct as f64 / self.holdout.len() as f64)
     }
 
-    /// Serves one inference request under an optional time budget.
+    /// Serves one inference request under an optional time budget: a
+    /// one-row [`infer_batch`](OnlineRuntime::infer_batch).
     ///
     /// The ladder picks the widest dimension tier whose latency
     /// estimate fits the budget; the answer reports the tier, whether
@@ -1326,36 +1503,10 @@ impl OnlineRuntime {
         features: &[f64],
         budget: Option<Duration>,
     ) -> Result<InferOutcome, RuntimeError> {
-        self.stats.infer_requests += 1;
-        if let Err(reason) = self.sanitize(features, None) {
-            self.stats.rejected += 1;
-            return Err(RuntimeError::Rejected(reason));
+        match self.infer_rows(&[features], budget).pop() {
+            Some(outcome) => outcome,
+            None => unreachable!("the scoring routine leaves one verdict per row"),
         }
-        let budget_ns = budget.map(|b| u64::try_from(b.as_nanos()).unwrap_or(u64::MAX));
-        let tier = self.ladder.choose(budget_ns);
-        let dims = self.ladder.dims(tier);
-        let opts = PredictOptions::reduced(dims, NormMode::Updated);
-        let start = Instant::now();
-        let label = self.pipeline.predict_reduced(features, opts)?;
-        let elapsed = start.elapsed();
-        self.ladder.observe(tier, elapsed);
-        let degraded = tier < self.ladder.full_tier();
-        let deadline_met = budget.is_none_or(|b| elapsed <= b);
-        self.stats.answered += 1;
-        if degraded {
-            self.stats.degraded += 1;
-        }
-        if !deadline_met {
-            self.stats.deadline_misses += 1;
-        }
-        Ok(InferOutcome {
-            label,
-            dims_used: dims,
-            tier,
-            degraded,
-            elapsed,
-            deadline_met,
-        })
     }
 
     /// Serves a micro-batch of inference requests under one shared time
@@ -1365,85 +1516,50 @@ impl OnlineRuntime {
     /// One ladder tier is chosen for the whole batch (the budget is
     /// per-request, and batching only lowers per-request cost), so every
     /// answered row reports the same tier. Results are per-row:
-    /// malformed rows are rejected exactly as [`infer`](OnlineRuntime::infer)
-    /// rejects them without failing their neighbours. Per-row `elapsed`
-    /// is the batch wall-clock divided by the rows scored — the quantity
-    /// the deadline and the ladder's EWMA are calibrated against.
-    /// Predictions are bit-identical to serving each row through
-    /// [`infer`](OnlineRuntime::infer) at the same tier.
+    /// malformed rows are rejected without failing their neighbours.
+    /// Per-row `elapsed` is the batch wall-clock, sanitization included,
+    /// divided by the rows scored — the quantity the deadline and the
+    /// ladder's EWMA are calibrated against. Predictions are
+    /// bit-identical to serving each row alone at the same tier.
     pub fn infer_batch(
         &mut self,
         batch: &[Vec<f64>],
         budget: Option<Duration>,
     ) -> Vec<Result<InferOutcome, RuntimeError>> {
-        let mut out: Vec<Result<InferOutcome, RuntimeError>> = Vec::with_capacity(batch.len());
-        if batch.is_empty() {
-            return out;
-        }
-        self.stats.infer_requests += batch.len() as u64;
+        self.infer_rows(batch, budget)
+    }
+
+    /// Serves `rows` through the scoring routine, with the range check
+    /// of [`RuntimeConfig::range_slack`], and judges each answer's
+    /// deadline against `budget`.
+    fn infer_rows<R: InferRow>(
+        &mut self,
+        rows: &[R],
+        budget: Option<Duration>,
+    ) -> Vec<Result<InferOutcome, RuntimeError>> {
         let budget_ns = budget.map(|b| u64::try_from(b.as_nanos()).unwrap_or(u64::MAX));
-        let tier = self.ladder.choose(budget_ns);
-        let dims = self.ladder.dims(tier);
-        let opts = PredictOptions::reduced(dims, NormMode::Updated);
-
-        // Pass 1: sanitize and encode. `out` gets a placeholder error
-        // per row; clean rows are queued in encounter order.
-        let start = Instant::now();
-        self.batch_encoded.clear();
-        for features in batch {
-            if let Err(reason) = self.sanitize(features, None) {
-                self.stats.rejected += 1;
-                out.push(Err(RuntimeError::Rejected(reason)));
-                continue;
-            }
-            match self.pipeline.encode(features) {
-                Ok(hv) => {
-                    // Marker replaced by the real outcome in pass 2.
-                    out.push(Err(RuntimeError::NoCheckpoint));
-                    self.batch_encoded.push(hv);
+        let slack = self.config.range_slack;
+        self.scorer
+            .serve(&self.pipeline, rows, budget_ns, slack, &mut self.stats);
+        let stats = &mut self.stats;
+        self.scorer
+            .drain_verdicts()
+            .map(|verdict| {
+                let scored = verdict?;
+                let deadline_met = budget.is_none_or(|b| scored.elapsed <= b);
+                if !deadline_met {
+                    stats.deadline_misses += 1;
                 }
-                Err(e) => out.push(Err(RuntimeError::Model(e))),
-            }
-        }
-        if self.batch_encoded.is_empty() {
-            return out;
-        }
-
-        // Pass 2: one blocked scoring sweep over every clean row.
-        self.batch_engine.predict_into(
-            self.pipeline.model(),
-            &self.batch_encoded,
-            opts,
-            &mut self.batch_preds,
-        );
-        let scored = self.batch_preds.len() as u32;
-        let elapsed = start.elapsed() / scored.max(1);
-        self.ladder.observe(tier, elapsed);
-        let degraded = tier < self.ladder.full_tier();
-        let deadline_met = budget.is_none_or(|b| elapsed <= b);
-        let mut preds = self.batch_preds.iter();
-        for slot in out.iter_mut() {
-            if !matches!(slot, Err(RuntimeError::NoCheckpoint)) {
-                continue;
-            }
-            let Some(&label) = preds.next() else { break };
-            self.stats.answered += 1;
-            if degraded {
-                self.stats.degraded += 1;
-            }
-            if !deadline_met {
-                self.stats.deadline_misses += 1;
-            }
-            *slot = Ok(InferOutcome {
-                label,
-                dims_used: dims,
-                tier,
-                degraded,
-                elapsed,
-                deadline_met,
-            });
-        }
-        out
+                Ok(InferOutcome {
+                    label: scored.label,
+                    dims_used: scored.dims_used,
+                    tier: scored.tier,
+                    degraded: scored.degraded,
+                    elapsed: scored.elapsed,
+                    deadline_met,
+                })
+            })
+            .collect()
     }
 
     /// Folds one labeled sample into the model (or the held-out
@@ -1456,7 +1572,12 @@ impl OnlineRuntime {
     /// [`RuntimeError::Rejected`] when the sample is quarantined; model
     /// errors cannot occur for sanitized input.
     pub fn learn(&mut self, features: &[f64], label: usize) -> Result<LearnOutcome, RuntimeError> {
-        if let Err(reason) = self.sanitize(features, Some(label)) {
+        let n_classes = self.pipeline.model().n_classes();
+        let mut checked = sanitize(&self.pipeline, features, self.config.range_slack);
+        if checked.is_ok() && label >= n_classes {
+            checked = Err(RejectReason::LabelOutOfRange { label, n_classes });
+        }
+        if let Err(reason) = checked {
             self.stats.quarantined += 1;
             self.quarantine(features, Some(label), reason.clone());
             return Err(RuntimeError::Rejected(reason));
@@ -1615,48 +1736,6 @@ impl OnlineRuntime {
         Ok(true)
     }
 
-    /// Validates one raw sample against the serving contract; never
-    /// panics.
-    fn sanitize(&self, features: &[f64], label: Option<usize>) -> Result<(), RejectReason> {
-        let expected = self.pipeline.encoder().spec().n_features();
-        if features.len() != expected {
-            return Err(RejectReason::WrongWidth {
-                expected,
-                actual: features.len(),
-            });
-        }
-        for (column, &v) in features.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(RejectReason::NonFinite { column });
-            }
-        }
-        let slack = self.config.range_slack;
-        if slack.is_finite() {
-            let quantizer = self.pipeline.encoder().quantizer();
-            let mins = quantizer.mins();
-            let spans = quantizer.spans();
-            for (column, &v) in features.iter().enumerate() {
-                let extent = if spans[column] > 0.0 {
-                    spans[column]
-                } else {
-                    1.0
-                };
-                let lo = mins[column] - slack * extent;
-                let hi = mins[column] + (1.0 + slack) * extent;
-                if v < lo || v > hi {
-                    return Err(RejectReason::OutOfRange { column, value: v });
-                }
-            }
-        }
-        if let Some(label) = label {
-            let n_classes = self.pipeline.model().n_classes();
-            if label >= n_classes {
-                return Err(RejectReason::LabelOutOfRange { label, n_classes });
-            }
-        }
-        Ok(())
-    }
-
     /// Buffers a refused sample in the bounded dead-letter queue.
     fn quarantine(&mut self, features: &[f64], label: Option<usize>, reason: RejectReason) {
         push_bounded(
@@ -1800,17 +1879,16 @@ mod tests {
 
     #[test]
     fn ladder_tiers_cover_chunk_multiples_up_to_dim() {
-        let ladder = DegradationLadder::new(1000, 0.2).unwrap();
+        let ladder = DegradationLadder::new(1000).unwrap();
         assert_eq!(ladder.tier_dims(), &[128, 256, 512, 1000]);
-        let tiny = DegradationLadder::new(64, 0.2).unwrap();
+        let tiny = DegradationLadder::new(64).unwrap();
         assert_eq!(tiny.tier_dims(), &[64]);
-        assert!(DegradationLadder::new(0, 0.2).is_err());
-        assert!(DegradationLadder::new(512, 0.0).is_err());
+        assert!(DegradationLadder::new(0).is_err());
     }
 
     #[test]
     fn ladder_unobserved_is_optimistic_then_learns() {
-        let mut ladder = DegradationLadder::new(1024, 0.5).unwrap();
+        let mut ladder = DegradationLadder::new(1024).unwrap();
         // Nothing observed: any budget gets full dimensionality.
         assert_eq!(ladder.choose(Some(1)), ladder.full_tier());
         // Teach it that full dim costs 8000 ns.
@@ -1821,8 +1899,6 @@ mod tests {
         assert_eq!(ladder.choose(Some(1_000_000)), ladder.full_tier());
         // No budget means no deadline.
         assert_eq!(ladder.choose(None), ladder.full_tier());
-        assert!(ladder.hopeless(10));
-        assert!(!ladder.hopeless(2000));
     }
 
     #[test]

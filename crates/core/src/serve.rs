@@ -1,8 +1,13 @@
 //! Supervised sharded serving runtime: N panic-isolated worker shards
-//! scoring RCU [`ModelSnapshot`]s through the zero-allocation
-//! [`ScoreBatch`] engine, one writer shard applying online updates, and
-//! a supervisor that restarts crashed shards with exponential backoff
-//! behind a restart-budget circuit breaker.
+//! scoring RCU [`ModelSnapshot`]s, one writer shard applying online
+//! updates, and a supervisor that restarts crashed shards with
+//! exponential backoff behind a restart-budget circuit breaker. Each
+//! worker serves its micro-batches through its own copy of the one Infer
+//! scoring routine that [`OnlineRuntime::infer`] also uses (check each
+//! row, encode, pick a ladder tier, score in one zero-allocation batched
+//! pass or against a tenant's mapped view); the worker itself only
+//! queues, parks its batch for crash recovery, publishes its
+//! floor-latency estimate and replies.
 //!
 //! ```text
 //!                      ┌────────────────────────────────────────────┐
@@ -12,8 +17,8 @@
 //!                              │          │◄──steal──│  own pop,
 //!                        ┌─────▼───┐ ┌────▼────┐ ┌───▼─────┐ steal when idle
 //!                        │ worker 0│ │ worker 1│ │ worker N│  catch_unwind
-//!                        │ ladder +│ │         │ │         │  + in-flight
-//!                        │ScoreBatch│ │        │ │         │  recovery
+//!                        │ scoring │ │ scoring │ │ scoring │  + in-flight
+//!                        │ routine │ │ routine │ │ routine │  recovery
 //!                        └─────┬───┘ └────┬────┘ └───┬─────┘
 //!                              │ SnapshotCell::load  │
 //!                      ┌───────▼──────────▼──────────▼──────┐
@@ -50,8 +55,8 @@
 //! budget cannot be met even degraded, accounting for the queue ahead
 //! of it, is shed with [`SubmitError::DeadlineHopeless`]. Requests that
 //! *are* admitted degrade through the sub-norm reduction tiers first
-//! (the [`DegradationLadder`] picks the widest tier fitting the
-//! remaining budget) before any answer is late.
+//! (each worker's degradation ladder picks the widest tier fitting the
+//! tightest remaining budget of its batch) before any answer is late.
 //!
 //! **Durability.** The writer shard owns the [`OnlineRuntime`]:
 //! checkpoint writes retry with capped jittered backoff
@@ -72,13 +77,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::kernels;
 use crate::registry::{ModelRegistry, TenantHandle};
 use crate::runtime::{
-    DeadLetter, DegradationLadder, ModelSnapshot, OnlineRuntime, RejectReason, RuntimeError,
-    RuntimeStats, SnapshotCell,
+    check_row, DeadLetter, InferRow, ModelSnapshot, OnlineRuntime, RejectReason, RuntimeError,
+    RuntimeStats, Scorer, SnapshotCell,
 };
-use crate::{NormMode, PredictOptions, ScoreBatch};
 
 /// How long a parked worker or the supervisor sleeps between checks for
 /// shutdown/chaos flags when no work arrives.
@@ -365,8 +368,6 @@ pub struct ServeConfig {
     pub restart_backoff: Duration,
     /// Cap on the exponential restart backoff.
     pub restart_backoff_max: Duration,
-    /// EWMA smoothing factor for each worker's latency ladder.
-    pub ladder_alpha: f64,
     /// Writer publishes a fresh snapshot every this many applied
     /// samples, in addition to the durability boundaries the
     /// [`OnlineRuntime`] already publishes at (0 = boundaries only).
@@ -383,7 +384,6 @@ impl Default for ServeConfig {
             restart_budget: 8,
             restart_backoff: Duration::from_millis(5),
             restart_backoff_max: Duration::from_millis(200),
-            ladder_alpha: 0.2,
             publish_every: 64,
         }
     }
@@ -401,7 +401,7 @@ pub enum SubmitError {
         /// The budget that could not be met.
         budget: Duration,
     },
-    /// The request failed sanitization.
+    /// The request has the wrong width or a non-finite feature.
     Rejected(RejectReason),
     /// Every worker shard is circuit-broken; nothing could answer.
     Unavailable,
@@ -523,6 +523,16 @@ struct Request {
     reply: mpsc::SyncSender<Result<ServeAnswer, ServeError>>,
 }
 
+impl InferRow for Request {
+    fn features(&self) -> &[f64] {
+        &self.features
+    }
+
+    fn tenant(&self) -> Option<&TenantHandle> {
+        self.tenant.as_ref()
+    }
+}
+
 struct LearnRequest {
     features: Vec<f64>,
     label: usize,
@@ -563,7 +573,7 @@ pub struct ServeStats {
     pub rejected_queue_full: u64,
     /// Shed: budget unmeetable even fully degraded.
     pub rejected_deadline: u64,
-    /// Rejected synchronously by the sanitizer.
+    /// Rejected synchronously: wrong width or a non-finite feature.
     pub rejected_malformed: u64,
     /// Rejected: all worker shards circuit-broken.
     pub rejected_unavailable: u64,
@@ -632,7 +642,7 @@ struct Shared {
     live_shards: AtomicUsize,
     /// Set once drain begins: admission refuses new work.
     draining: AtomicBool,
-    /// Expected feature width, for synchronous sanitization.
+    /// Expected feature width, checked synchronously at admission.
     n_features: usize,
     /// Multi-tenant model registry for tenant-routed requests
     /// ([`ServerHandle::submit_tenant`]); `None` = single-tenant server.
@@ -656,44 +666,18 @@ enum Event {
     Exited,
 }
 
-/// Per-request routing decision a worker records while encoding, then
-/// consumes while answering.
-enum Verdict {
-    /// Answer with this error.
-    Reject(ServeError),
-    /// Scored by the batched shared-snapshot engine; take the next
-    /// prediction from `preds`.
-    Shared,
-    /// Scored inline against the request's pinned mapped model.
-    Tenant {
-        /// Predicted class.
-        label: usize,
-        /// Dimensions scored (the mapped model's full width).
-        dims: usize,
-    },
-}
-
 // ---------------------------------------------------------------------------
 // Worker shard
 // ---------------------------------------------------------------------------
 
 fn worker_shard(shard: usize, shared: &Shared) {
-    let snapshot0 = shared.snapshots.load();
-    let dim = snapshot0.pipeline().model().dim();
-    drop(snapshot0);
-    let Ok(mut ladder) = DegradationLadder::new(dim, shared.config.ladder_alpha) else {
-        // Impossible for a trained model (dim ≥ 1, alpha validated at
-        // start); exiting cleanly beats poisoning the fleet.
+    let dim = shared.snapshots.load().pipeline().model().dim();
+    let Ok(mut scorer) = Scorer::new(dim) else {
+        // Impossible for a trained model (dim ≥ 1); exiting cleanly
+        // beats poisoning the fleet.
         return;
     };
-    let mut engine = ScoreBatch::new();
-    let mut encoded = Vec::new();
-    let mut preds = Vec::new();
     let mut locals = RuntimeStats::default();
-    // Tenant-routed scoring: the dispatched kernel set and a reused
-    // score buffer (zero steady-state allocation in the mapped path).
-    let tenant_kernels = kernels::active();
-    let mut tenant_scores: Vec<f64> = Vec::new();
 
     loop {
         // Chaos: an armed stall sleeps *before* popping, leaving this
@@ -729,7 +713,12 @@ fn worker_shard(shard: usize, shared: &Shared) {
                 }
             },
         };
-        let mut batch = vec![first];
+        // The batch is gathered straight into the crash-recovery slot,
+        // whose buffer every batch reuses: a panic from here on loses
+        // nothing. Only the supervisor ever takes this lock besides
+        // this shard, and only after the shard has died.
+        let mut batch = lock_unpoisoned(&shared.in_flight[shard]);
+        batch.push(first);
         while batch.len() < shared.config.batch_max {
             match shared.work.try_pop_own(shard) {
                 Some(request) => batch.push(request),
@@ -743,173 +732,67 @@ fn worker_shard(shard: usize, shared: &Shared) {
             }
         }
         locals.steals += stolen;
-
-        // Park the batch in the crash-recovery slot *before* any
-        // fallible work: a panic from here on loses nothing.
-        *lock_unpoisoned(&shared.in_flight[shard]) = batch;
         if shared.kill_flags[shard].swap(false, Ordering::Relaxed) {
             panic!("chaos: shard {shard} killed mid-batch");
         }
 
         // One tier for the whole batch, chosen from the tightest
-        // remaining budget (degrade before missing deadlines).
+        // remaining budget (degrade before missing deadlines). Workers
+        // check width and finiteness only: range checks stay
+        // writer-side, where the trained spans live.
         let now = Instant::now();
-        let tightest_ns: Option<u64> = {
-            let slot = lock_unpoisoned(&shared.in_flight[shard]);
-            slot.iter()
-                .filter_map(|r| {
-                    r.deadline.map(|d| {
-                        u64::try_from(d.saturating_duration_since(now).as_nanos())
-                            .unwrap_or(u64::MAX)
-                    })
-                })
-                .min()
-        };
-        let tier = ladder.choose(tightest_ns);
-        let dims = ladder.dims(tier);
-        let degraded = tier < ladder.full_tier();
-        let opts = PredictOptions::reduced(dims, NormMode::Updated);
-
-        // Sanitize + encode against one pinned snapshot. Tenant-routed
-        // requests score inline against their admission-pinned mapped
-        // model (full dimensionality — the packed planes carry no
-        // sub-norm tiers); shared-model requests batch through the
-        // ladder-driven ScoreBatch engine below.
+        let tightest_ns = batch
+            .iter()
+            .filter_map(|r| r.deadline)
+            .map(|d| u64::try_from(d.saturating_duration_since(now).as_nanos()).unwrap_or(u64::MAX))
+            .min();
         let snapshot = shared.snapshots.load();
-        let started = Instant::now();
-        encoded.clear();
-        let mut verdicts: Vec<Verdict> = Vec::new();
-        {
-            let slot = lock_unpoisoned(&shared.in_flight[shard]);
-            for request in slot.iter() {
-                locals.infer_requests += 1;
-                if let Some(reason) = sanitize(&request.features, shared.n_features) {
-                    locals.rejected += 1;
-                    verdicts.push(Verdict::Reject(ServeError::Rejected(reason)));
-                    continue;
-                }
-                let hv = match snapshot.pipeline().encode(&request.features) {
-                    Ok(hv) => hv,
-                    // Unreachable for sanitized input; answer with a
-                    // cancellation rather than a made-up reason.
-                    Err(_) => {
-                        locals.rejected += 1;
-                        verdicts.push(Verdict::Reject(ServeError::Canceled));
-                        continue;
-                    }
-                };
-                match &request.tenant {
-                    None => {
-                        verdicts.push(Verdict::Shared);
-                        encoded.push(hv);
-                    }
-                    Some(handle) => {
-                        let query = hv.to_binary();
-                        let view = handle.view();
-                        match view.scores_into_with(&query, tenant_kernels, &mut tenant_scores) {
-                            Ok(()) => {
-                                // Last-wins argmax, matching the scalar
-                                // oracle's and PackedModelView::predict's
-                                // tie-breaking.
-                                let mut label = 0usize;
-                                let mut best = f64::NEG_INFINITY;
-                                for (c, &s) in tenant_scores.iter().enumerate() {
-                                    if s >= best {
-                                        best = s;
-                                        label = c;
-                                    }
-                                }
-                                verdicts.push(Verdict::Tenant {
-                                    label,
-                                    dims: view.dim(),
-                                });
-                            }
-                            // Unreachable: the registry validates the
-                            // model's dimensionality against the shared
-                            // encoder at load.
-                            Err(_) => {
-                                locals.rejected += 1;
-                                verdicts.push(Verdict::Reject(ServeError::Canceled));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !encoded.is_empty() {
-            engine.predict_into(snapshot.pipeline().model(), &encoded, opts, &mut preds);
-        } else {
-            preds.clear();
-        }
-        let scored = preds.len() as u32;
-        let per_row = started.elapsed() / scored.max(1);
-        if scored > 0 {
-            ladder.observe(tier, per_row);
-            if let Some(floor) = ladder.estimate_ns(0) {
+        let fed = scorer.serve(
+            snapshot.pipeline(),
+            &batch,
+            tightest_ns,
+            f64::INFINITY,
+            &mut locals,
+        );
+        if fed {
+            if let Some(floor) = scorer.ladder().estimate_ns(0) {
                 shared
                     .floor_ns
                     .store(floor.max(0.0) as u64, Ordering::Relaxed);
             }
         }
 
-        // Scoring is done: take the batch out of the recovery slot and
-        // answer. (A panic after this point would drop the remaining
-        // reply senders, surfacing as Canceled — never a double answer.)
-        let batch = std::mem::take(&mut *lock_unpoisoned(&shared.in_flight[shard]));
-        let mut next_pred = preds.iter();
-        for (request, verdict) in batch.into_iter().zip(verdicts) {
-            match verdict {
-                Verdict::Reject(error) => {
-                    let _ = request.reply.try_send(Err(error));
-                }
-                Verdict::Shared => {
-                    let Some(&label) = next_pred.next() else {
-                        let _ = request.reply.try_send(Err(ServeError::Canceled));
-                        continue;
-                    };
+        // Scoring is done: answer, emptying the slot as we go. (A panic
+        // here drops the remaining reply senders, surfacing as
+        // Canceled — never a double answer.)
+        for (request, verdict) in batch.drain(..).zip(scorer.drain_verdicts()) {
+            let reply = match verdict {
+                Ok(scored) => {
                     let answered_at = Instant::now();
                     let deadline_met = request.deadline.is_none_or(|d| answered_at <= d);
-                    locals.answered += 1;
-                    if degraded {
-                        locals.degraded += 1;
-                    }
                     if !deadline_met {
                         locals.deadline_misses += 1;
                     }
-                    let _ = request.reply.try_send(Ok(ServeAnswer {
-                        label,
-                        dims_used: dims,
-                        tier,
-                        degraded,
+                    Ok(ServeAnswer {
+                        label: scored.label,
+                        dims_used: scored.dims_used,
+                        tier: scored.tier,
+                        degraded: scored.degraded,
                         elapsed: answered_at.duration_since(request.submitted),
                         deadline_met,
                         shard,
                         snapshot: Arc::clone(&snapshot),
-                        tenant: None,
-                    }));
+                        tenant: request.tenant,
+                    })
                 }
-                Verdict::Tenant { label, dims } => {
-                    let answered_at = Instant::now();
-                    let deadline_met = request.deadline.is_none_or(|d| answered_at <= d);
-                    locals.answered += 1;
-                    if !deadline_met {
-                        locals.deadline_misses += 1;
-                    }
-                    let tenant = request.tenant.clone();
-                    let _ = request.reply.try_send(Ok(ServeAnswer {
-                        label,
-                        dims_used: dims,
-                        tier: ladder.full_tier(),
-                        degraded: false,
-                        elapsed: answered_at.duration_since(request.submitted),
-                        deadline_met,
-                        shard,
-                        snapshot: Arc::clone(&snapshot),
-                        tenant,
-                    }));
-                }
-            }
+                Err(RuntimeError::Rejected(reason)) => Err(ServeError::Rejected(reason)),
+                // Unreachable for checked input and registry-validated
+                // models; answer with a cancellation, not a made-up reason.
+                Err(_) => Err(ServeError::Canceled),
+            };
+            let _ = request.reply.try_send(reply);
         }
+        drop(batch);
 
         // Publish this batch's stats delta while it is still small —
         // a later crash loses at most one batch of counters.
@@ -917,21 +800,6 @@ fn worker_shard(shard: usize, shared: &Shared) {
         locals = RuntimeStats::default();
     }
     lock_unpoisoned(&shared.worker_stats).merge(&locals);
-}
-
-/// Width/finiteness gate matching the runtime sanitizer's first two
-/// checks (range checks stay writer-side where the trained spans live).
-fn sanitize(features: &[f64], n_features: usize) -> Option<RejectReason> {
-    if features.len() != n_features {
-        return Some(RejectReason::WrongWidth {
-            expected: n_features,
-            actual: features.len(),
-        });
-    }
-    features
-        .iter()
-        .position(|v| !v.is_finite())
-        .map(|column| RejectReason::NonFinite { column })
 }
 
 // ---------------------------------------------------------------------------
@@ -1408,7 +1276,7 @@ impl ServerHandle {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Unavailable);
         }
-        if let Some(reason) = sanitize(&features, shared.n_features) {
+        if let Err(reason) = check_row(&features, shared.n_features) {
             shared
                 .counters
                 .rejected_malformed

@@ -8,7 +8,10 @@ use std::collections::BTreeSet;
 
 use generic_hdc::io::write_packed;
 use generic_hdc::ledger::MANIFEST_NAME;
-use generic_hdc::{BinaryHv, HdcModel, IntHv, Ledger, Manifest, ManifestError, QuantizedModel};
+use generic_hdc::{
+    BinaryHv, HdcModel, IntHv, Ledger, Manifest, ManifestError, ModelRegistry, QuantizedModel,
+    RegistryConfig,
+};
 use proptest::prelude::*;
 
 /// Bitwise IEEE CRC32 — deliberately re-implemented here (rather than
@@ -34,14 +37,17 @@ fn seal(body: &str) -> Vec<u8> {
     bytes
 }
 
-fn sample_image() -> Vec<u8> {
+fn sample_model(seed: u64) -> QuantizedModel {
     let encoded: Vec<IntHv> = (0..3u64)
-        .map(|s| IntHv::from(BinaryHv::random_seeded(256, s + 11).expect("dim > 0")))
+        .map(|s| IntHv::from(BinaryHv::random_seeded(256, s + seed).expect("dim > 0")))
         .collect();
     let model = HdcModel::fit(&encoded, &[0, 1, 2], 3).expect("valid inputs");
-    let quantized = QuantizedModel::from_model(&model, 8).expect("valid width");
+    QuantizedModel::from_model(&model, 8).expect("valid width")
+}
+
+fn sample_image() -> Vec<u8> {
     let mut buf = Vec::new();
-    write_packed(&quantized, &mut buf).expect("vec write cannot fail");
+    write_packed(&sample_model(11), &mut buf).expect("vec write cannot fail");
     buf
 }
 
@@ -54,6 +60,49 @@ fn manifest_with(epoch: u64) -> Manifest {
 
 fn scratch(tag: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ghdc-ledger-robust-{tag}-{}", std::process::id()))
+}
+
+/// A reader registry sees every commit of the writer, even one that
+/// leaves the manifest with the length and mtime it had: a rollback
+/// keeps the manifest's length, and a coarse timestamp can give two
+/// commits the same mtime.
+#[test]
+fn reader_sees_a_rollback_that_keeps_the_manifest_length_and_mtime() {
+    let dir = std::env::temp_dir().join(format!("ghdc-ledger-watch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = RegistryConfig {
+        dim: 256,
+        watch_every: 1,
+        ..RegistryConfig::default()
+    };
+    let (g1, g2) = (sample_model(11), sample_model(21));
+    let writer = ModelRegistry::open(&dir, config).expect("writer opens");
+    assert_eq!(writer.publish("acme", &g1).expect("publish g1"), 1);
+    assert_eq!(writer.publish("acme", &g2).expect("publish g2"), 2);
+
+    let reader = ModelRegistry::open(&dir, config).expect("reader opens");
+    let query = BinaryHv::random_seeded(256, 99).expect("dim > 0");
+    let served = |registry: &ModelRegistry| {
+        let handle = registry.get("acme").expect("acme serves");
+        handle.view().scores(&query).expect("query width matches")
+    };
+    let scores = |model: &QuantizedModel| model.scores(&IntHv::from(query.clone()));
+    assert_eq!(served(&reader), scores(&g2));
+
+    let manifest = dir.join(MANIFEST_NAME);
+    let before = std::fs::metadata(&manifest).expect("manifest exists");
+    assert_eq!(writer.rollback("acme", None).expect("rollback"), 1);
+    let after = std::fs::metadata(&manifest).expect("manifest exists");
+    assert_eq!(after.len(), before.len(), "the rollback keeps the length");
+    std::fs::File::options()
+        .write(true)
+        .open(&manifest)
+        .and_then(|f| f.set_modified(before.modified()?))
+        .expect("manifest mtime resets");
+
+    assert_eq!(served(&reader), scores(&g1), "the reader serves g1 again");
+    drop((writer, reader));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -480,7 +480,7 @@ fn drain_refuses_new_work() {
 /// typed reason.
 #[test]
 fn tenant_requests_score_their_mapped_models() {
-    use generic_hdc::{IntHv, ModelRegistry, QuantizedModel, RegistryConfig};
+    use generic_hdc::{DegradationLadder, IntHv, ModelRegistry, QuantizedModel, RegistryConfig};
     use std::sync::Arc;
 
     let dir = TempDir::new("tenant");
@@ -550,6 +550,10 @@ fn tenant_requests_score_their_mapped_models() {
             .expect("tenant answers carry the pin");
         assert_eq!(pinned.tenant(), name, "request {i} routed wrong");
         assert!(!answer.degraded, "mapped scoring is full-width");
+        assert_eq!(answer.dims_used, pinned.view().dim());
+        let ladder =
+            DegradationLadder::new(answer.snapshot.pipeline().model().dim()).expect("dim > 0");
+        assert_eq!(answer.tier, ladder.full_tier(), "request {i}: full tier");
         // Replay through the scalar oracle: encode with the server's own
         // snapshot, score the quantized model, demand the same label.
         let query = answer

@@ -21,11 +21,24 @@ cargo clippy --workspace --all-targets --locked -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> benches compile"
+cargo bench --workspace --locked --no-run
+
+echo "==> hot-path kernel smoke"
+cargo run -p generic-bench --release --locked --quiet --bin hotpaths -- --smoke
+
 echo "==> conformance smoke (differential oracles)"
 cargo run -p generic-bench --release --locked --quiet --bin conformance -- --smoke
 
 echo "==> throughput smoke (SIMD dispatch, batched scoring)"
 cargo run -p generic-bench --release --locked --quiet --bin throughput -- --smoke
+
+echo "==> throughput smoke (portable kernels forced)"
+GENERIC_FORCE_PORTABLE=1 \
+  cargo run -p generic-bench --release --locked --quiet --bin throughput -- --smoke
+
+echo "==> fault campaign acceptance checks"
+cargo run -p generic-bench --release --locked --quiet --bin fault_campaign
 
 echo "==> soak smoke (crash recovery, deadline storm, sharded chaos, registry crash storm)"
 cargo run -p generic-bench --release --locked --quiet --bin soak -- --smoke
@@ -64,5 +77,10 @@ cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D 
 
 echo "==> benchmark smoke run (every workload over GNET)"
 cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- run --all --smoke
+
+# Smoke runs write their records under target/smoke/; the committed
+# BENCH_*.json files are full-mode records and must come out untouched.
+echo "==> committed bench records unchanged"
+git diff --exit-code -- 'BENCH_*.json'
 
 echo "All checks passed."
