@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use generic_bench::cli;
 use generic_hdc::encoding::GenericEncoderSpec;
-use generic_hdc::net::{read_frame, write_frame, NetConfig, NetFrontend};
+use generic_hdc::net::{read_frame, write_frame, NetFrontend};
 use generic_hdc::runtime::{CheckpointStore, OnlineRuntime, RetryPolicy, RuntimeConfig};
 use generic_hdc::{
     Frame, HdcPipeline, NetStatus, NormMode, PredictOptions, ServeConfig, Server, ServerHandle,
@@ -361,8 +361,7 @@ fn measure_netload(
     )
     .expect("server starts");
     let handle = server.handle();
-    let frontend = NetFrontend::bind("127.0.0.1:0", handle.clone(), NetConfig::default())
-        .expect("loopback binds");
+    let frontend = NetFrontend::bind("127.0.0.1:0", handle.clone()).expect("loopback binds");
     let addr = frontend.local_addr();
     let pool = request_pool(seed);
 

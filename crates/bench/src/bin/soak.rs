@@ -206,7 +206,6 @@ fn runtime_config(config: &Config) -> RuntimeConfig {
     RuntimeConfig {
         checkpoint_every: config.checkpoint_every,
         holdout_every: 10,
-        ..RuntimeConfig::default()
     }
 }
 
@@ -456,10 +455,11 @@ fn main() {
         restart_backoff_max: Duration::from_millis(50),
         ..ServeConfig::default()
     };
-    // The shard kill below panics on purpose; keep the report to one
-    // line instead of a full backtrace.
+    // The shard kill below panics on purpose, and the worker catches
+    // its own panic; keep the report to one line instead of a full
+    // backtrace.
     std::panic::set_hook(Box::new(|info| {
-        eprintln!("(chaos) worker panic caught by supervisor: {info}");
+        eprintln!("(chaos) worker panic caught by the worker: {info}");
     }));
     chaos_fs.fail_next(FsOp::Create, 2); // absorbed by the 3-attempt retry budget
     let server = Server::start(runtime, serve_config).expect("server starts");
@@ -486,9 +486,9 @@ fn main() {
         }
     }
 
-    // Fault 1: kill shard 0 mid-batch; its in-flight work must be
-    // requeued and answered elsewhere, and the supervisor must restart
-    // the shard within its backoff.
+    // Fault 1: kill shard 0 mid-batch; its batch must be requeued and
+    // answered, and the worker must re-enter its loop within its
+    // backoff.
     handle.chaos_kill_shard(0);
     let kill_start = Instant::now();
     for _ in 0..config.chaos_requests / 4 {
@@ -692,7 +692,6 @@ fn main() {
             max_delay: Duration::from_millis(4),
             jitter: false,
         },
-        ..RegistryConfig::default()
     };
     let query = BinaryHv::random_seeded(LEDGER_DIM, seed ^ 0xA5).expect("dim > 0");
 

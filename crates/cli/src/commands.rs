@@ -12,7 +12,7 @@ use generic_hdc::runtime::{
     CheckpointStore, MicroBatcher, OnlineRuntime, RetryPolicy, RuntimeConfig,
 };
 use generic_hdc::{
-    HdcClustering, HdcClusteringSpec, HdcPipeline, Ledger, ModelRegistry, NetConfig, NetFrontend,
+    HdcClustering, HdcClusteringSpec, HdcPipeline, Ledger, ModelRegistry, NetFrontend,
     RegistryConfig, RuntimeError, ServeConfig, ServeError, Server, SubmitError, Ticket,
 };
 
@@ -687,7 +687,7 @@ fn serve_sharded<W: Write>(out: &mut W, runtime: OnlineRuntime, args: &ServeArgs
     // on stdin; closing stdin ends the session and drains everything.
     let frontend = match &args.listen {
         Some(addr) => {
-            let frontend = NetFrontend::bind(addr, handle.clone(), NetConfig::default())?;
+            let frontend = NetFrontend::bind(addr, handle.clone())?;
             writeln!(out, "listening on {}", frontend.local_addr())?;
             out.flush()?;
             Some(frontend)

@@ -8,7 +8,7 @@ use generic_hdc::encoding::{Encoder, GenericEncoderSpec};
 use generic_hdc::io::{read_packed, ReadModelError};
 use generic_hdc::kernels;
 use generic_hdc::ledger::{FsOp, LedgerFs, MANIFEST_NAME};
-use generic_hdc::net::{read_frame, Frame, NetConfig, NetFrontend, NetStatus};
+use generic_hdc::net::{read_frame, Frame, NetFrontend, NetStatus};
 use generic_hdc::oracle::{
     BundleKernel, DifferentialKernel, DotI32Kernel, EncodeKernel, PackedScoreKernel, PruneKernel,
     PrunedScoreKernel, RetrainKernel, SaliencyKernel, ScoreBatchKernel, ScoreKernel, StageKind,
@@ -1010,8 +1010,7 @@ fn network_cycle(
     let handle = server.handle();
     let snapshot = handle.snapshots().load();
 
-    let frontend = NetFrontend::bind("127.0.0.1:0", handle.clone(), NetConfig::default())
-        .map_err(|e| err(&e))?;
+    let frontend = NetFrontend::bind("127.0.0.1:0", handle.clone()).map_err(|e| err(&e))?;
     let addr = frontend.local_addr();
     let stage_result = (|| -> Result<(), Divergence> {
         let mut conn = std::net::TcpStream::connect(addr).map_err(|e| err(&e))?;

@@ -84,14 +84,6 @@ pub enum FsOp {
 }
 
 impl FsOp {
-    const ALL: [FsOp; 5] = [
-        FsOp::Create,
-        FsOp::Write,
-        FsOp::Sync,
-        FsOp::Rename,
-        FsOp::SyncDir,
-    ];
-
     fn index(self) -> usize {
         match self {
             FsOp::Create => 0,
@@ -169,15 +161,6 @@ impl LedgerFs {
     /// dead; a recovering open must construct a fresh `LedgerFs`).
     pub fn crashed(&self) -> bool {
         self.inner.crashed.load(Ordering::Relaxed)
-    }
-
-    /// Disarms every pending fault (crashed state is *not* cleared — a
-    /// dead process stays dead).
-    pub fn disarm(&self) {
-        for op in FsOp::ALL {
-            self.inner.fail[op.index()].store(0, Ordering::Relaxed);
-            self.inner.crash[op.index()].store(0, Ordering::Relaxed);
-        }
     }
 
     /// Gate run before (and during) each op. `Ok(false)` = proceed

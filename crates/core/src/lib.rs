@@ -35,10 +35,10 @@
 //!   generation-numbered checkpoints, deadline-aware graceful degradation
 //!   over the sub-norm reduction tiers, and quarantine-not-panic input
 //!   handling (module [`runtime`]),
-//! - a supervised sharded serving runtime: panic-isolated worker shards
-//!   scoring RCU snapshots behind bounded queues with backpressure,
-//!   deadline-aware admission control, restart backoff with a circuit
-//!   breaker, and graceful drain (module [`serve`]),
+//! - a sharded serving runtime: panic-isolated, self-supervising worker
+//!   shards scoring RCU snapshots behind bounded queues with
+//!   backpressure, deadline-aware admission control, restart backoff
+//!   with a circuit breaker, and graceful drain (module [`serve`]),
 //! - a dependency-free framed TCP front-end over the serving runtime:
 //!   length-prefixed, CRC32-trailed binary frames with per-request status
 //!   codes for shed/deadline/quarantine outcomes (module [`net`]),
@@ -122,9 +122,7 @@ pub use ledger::{FsOp, Ledger, LedgerFs, Manifest, ManifestError, RecoveryOutcom
 pub use level::{LevelMemory, Quantizer};
 pub use mapped::Mapping;
 pub use model::{HdcModel, NormMode, PredictOptions, ScoreBatch};
-pub use net::{
-    Frame, FrameError, FrameReader, LatencySummary, NetConfig, NetFrontend, NetStats, NetStatus,
-};
+pub use net::{Frame, FrameError, FrameReader, LatencySummary, NetFrontend, NetStats, NetStatus};
 pub use pipeline::HdcPipeline;
 pub use quant::{pack_bits, unpack_bits, PackedModel, PackedModelView, QuantizedModel};
 pub use registry::{ModelRegistry, RegistryConfig, RegistryError, RegistryStats, TenantHandle};

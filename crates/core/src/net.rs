@@ -909,27 +909,15 @@ pub struct LatencySummary {
 // NetFrontend
 // ---------------------------------------------------------------------------
 
-/// Tunables of the TCP front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetConfig {
-    /// How often the acceptor polls for shutdown between accepts.
-    pub accept_poll: Duration,
-    /// Per-connection read timeout (the reader's shutdown-check tick).
-    pub read_poll: Duration,
-    /// Outstanding responses a connection may pipeline before the
-    /// reader stops admitting more (per-connection backpressure).
-    pub max_pipeline: usize,
-}
+/// How often the acceptor polls for shutdown between accepts.
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            accept_poll: Duration::from_millis(2),
-            read_poll: Duration::from_millis(5),
-            max_pipeline: 128,
-        }
-    }
-}
+/// Per-connection read timeout (the reader's shutdown-check tick).
+const READ_POLL: Duration = Duration::from_millis(5);
+
+/// Outstanding responses a connection may pipeline before the reader
+/// stops admitting more (per-connection backpressure).
+const MAX_PIPELINE: usize = 128;
 
 #[derive(Debug, Default)]
 struct NetCounters {
@@ -962,7 +950,6 @@ pub struct NetStats {
 
 struct NetShared {
     handle: ServerHandle,
-    config: NetConfig,
     shutdown: AtomicBool,
     counters: NetCounters,
     hist: Histogram,
@@ -1012,17 +999,12 @@ impl NetFrontend {
     /// # Errors
     ///
     /// Propagates bind/spawn failures.
-    pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        handle: ServerHandle,
-        config: NetConfig,
-    ) -> io::Result<NetFrontend> {
+    pub fn bind<A: ToSocketAddrs>(addr: A, handle: ServerHandle) -> io::Result<NetFrontend> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(NetShared {
             handle,
-            config,
             shutdown: AtomicBool::new(false),
             counters: NetCounters::default(),
             hist: Histogram::new(),
@@ -1089,10 +1071,7 @@ fn acceptor(listener: &TcpListener, shared: &Arc<NetShared>) -> Vec<JoinHandle<(
                     connections.push(handle);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.config.accept_poll);
-            }
-            Err(_) => std::thread::sleep(shared.config.accept_poll),
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
     connections
@@ -1103,11 +1082,11 @@ fn acceptor(listener: &TcpListener, shared: &Arc<NetShared>) -> Vec<JoinHandle<(
 /// a malformed frame, or shutdown.
 fn connection(stream: &TcpStream, shared: &Arc<NetShared>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.read_poll));
+    let _ = stream.set_read_timeout(Some(READ_POLL));
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (tx, rx) = mpsc::sync_channel::<Outgoing>(shared.config.max_pipeline.max(1));
+    let (tx, rx) = mpsc::sync_channel::<Outgoing>(MAX_PIPELINE);
     let writer = {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()

@@ -37,9 +37,6 @@
 //!   `watch_every` admissions and refreshes changed tenants — so a
 //!   serving process picks up another process's publishes and
 //!   rollbacks at admission time without restarting.
-//! - One seeded [`IdMemory`] is shared across every tenant
-//!   ([`ModelRegistry::shared_ids`]), so per-tenant state is exactly
-//!   one mapped file.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -56,7 +53,6 @@ use crate::ledger::{
 use crate::mapped::Mapping;
 use crate::quant::{PackedModel, PackedModelView, QuantizedModel};
 use crate::runtime::RetryPolicy;
-use crate::{HdcError, IdMemory};
 
 /// File extension of tenant model files inside a registry directory.
 pub const TENANT_EXT: &str = "ghdc";
@@ -71,11 +67,6 @@ pub struct RegistryConfig {
     /// Hypervector dimensionality every tenant must match (the shared
     /// encoder's output width). Mismatching files are quarantined.
     pub dim: usize,
-    /// Id vectors in the shared seeded item memory.
-    pub id_count: usize,
-    /// Seed of the shared item memory (paper §4.2: ids are regenerated
-    /// from the seed, so this one number replaces a per-tenant table).
-    pub id_seed: u64,
     /// Generations retained per tenant for rollback (≥ 1; older images
     /// are garbage-collected at commit).
     pub keep_generations: usize,
@@ -92,8 +83,6 @@ impl Default for RegistryConfig {
         RegistryConfig {
             byte_budget: 64 << 20,
             dim: 2048,
-            id_count: 64,
-            id_seed: 0x1D5E_ED00,
             keep_generations: 4,
             watch_every: 64,
             retry: RetryPolicy::default(),
@@ -155,8 +144,6 @@ pub enum RegistryError {
     },
     /// Underlying I/O failure (not a validation failure).
     Io(io::Error),
-    /// The registry itself could not be constructed.
-    Config(HdcError),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -190,7 +177,6 @@ impl std::fmt::Display for RegistryError {
                 ),
             },
             RegistryError::Io(e) => write!(f, "registry i/o failure: {e}"),
-            RegistryError::Config(e) => write!(f, "registry configuration: {e}"),
         }
     }
 }
@@ -199,7 +185,6 @@ impl std::error::Error for RegistryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RegistryError::Io(e) => Some(e),
-            RegistryError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -262,11 +247,6 @@ impl TenantHandle {
         self.model.view()
     }
 
-    /// Resident bytes this mapping accounts for.
-    pub fn len_bytes(&self) -> usize {
-        self.model.bytes().len()
-    }
-
     /// Whether the pinned region is a real OS memory mapping.
     pub fn is_mmap(&self) -> bool {
         self.model.is_mmap()
@@ -298,7 +278,6 @@ struct State {
 pub struct ModelRegistry {
     dir: PathBuf,
     config: RegistryConfig,
-    ids: IdMemory,
     ledger: Mutex<Ledger>,
     state: Mutex<State>,
     recovery: RecoveryOutcome,
@@ -313,9 +292,8 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Io`] if the directory cannot be created,
-    /// [`RegistryError::Config`] if the shared id memory parameters are
-    /// degenerate.
+    /// [`RegistryError::Io`] if the directory cannot be created or the
+    /// recovery scan fails.
     pub fn open(dir: impl Into<PathBuf>, config: RegistryConfig) -> Result<Self, RegistryError> {
         Self::open_with_fs(dir, config, LedgerFs::new())
     }
@@ -334,8 +312,6 @@ impl ModelRegistry {
     ) -> Result<Self, RegistryError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let ids = IdMemory::seeded(config.dim, config.id_count, config.id_seed)
-            .map_err(RegistryError::Config)?;
         let (ledger, recovery) =
             Ledger::open_with(&dir, config.keep_generations.max(1), config.retry, fs)?;
         let mut state = State::default();
@@ -346,7 +322,6 @@ impl ModelRegistry {
         Ok(ModelRegistry {
             dir,
             config,
-            ids,
             ledger: Mutex::new(ledger),
             state: Mutex::new(state),
             recovery,
@@ -364,11 +339,6 @@ impl ModelRegistry {
         self.config
     }
 
-    /// The one seeded item memory every tenant shares (§4.2).
-    pub fn shared_ids(&self) -> &IdMemory {
-        &self.ids
-    }
-
     /// What the recovery scan at open found and did.
     pub fn recovery(&self) -> &RecoveryOutcome {
         &self.recovery
@@ -384,12 +354,6 @@ impl ModelRegistry {
     /// The ledger's commit epoch (bumps on every publish/rollback).
     pub fn epoch(&self) -> u64 {
         lock_ledger(&self.ledger).epoch()
-    }
-
-    /// A shared-state clone of the injectable filesystem layer, for
-    /// arming faults mid-run.
-    pub fn ledger_fs(&self) -> LedgerFs {
-        lock_ledger(&self.ledger).fs()
     }
 
     /// The path a tenant's **live** model image lives at (the legacy
@@ -810,13 +774,6 @@ impl ModelRegistry {
             }
             None => false,
         }
-    }
-
-    /// Clears a tenant's quarantine so the next [`ModelRegistry::get`]
-    /// retries the file (e.g. after it was repaired out of band).
-    /// Returns whether the tenant was quarantined.
-    pub fn clear_quarantine(&self, tenant: &str) -> bool {
-        lock_state(&self.state).quarantined.remove(tenant).is_some()
     }
 
     /// Currently quarantined tenants with their validation failures.
@@ -1328,19 +1285,6 @@ mod tests {
             RegistryError::Quarantined { .. }
         ));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_ids_are_seed_stable_across_registries() {
-        let dir_a = scratch("ids-a");
-        let dir_b = scratch("ids-b");
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
-        let a = ModelRegistry::open(&dir_a, config(512, 1 << 20)).unwrap();
-        let b = ModelRegistry::open(&dir_b, config(512, 1 << 20)).unwrap();
-        assert_eq!(a.shared_ids().id(3), b.shared_ids().id(3));
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
     }
 
     #[test]

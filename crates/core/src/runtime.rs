@@ -705,7 +705,7 @@ pub(crate) fn check_row(features: &[f64], n_features: usize) -> Result<(), Rejec
 
 /// [`check_row`], then — unless `range_slack` is infinite — the range
 /// check against the spans the quantizer was fitted on (see
-/// [`RuntimeConfig::range_slack`]).
+/// `RANGE_SLACK`).
 fn sanitize(
     pipeline: &HdcPipeline,
     features: &[f64],
@@ -788,9 +788,9 @@ impl Scorer {
     }
 
     /// Serves one micro-batch against `pipeline`. Each row is sanitized
-    /// (`range_slack` as in [`RuntimeConfig::range_slack`]) and encoded;
-    /// one ladder tier, chosen from the tightest budget `budget_ns`,
-    /// serves the whole batch. Shared rows are scored in one
+    /// (`range_slack` as in `RANGE_SLACK`; infinite skips the range
+    /// check) and encoded; one ladder tier, chosen from the tightest
+    /// budget `budget_ns`, serves the whole batch. Shared rows are scored in one
     /// [`ScoreBatch`] pass at that tier, tenant rows against their
     /// pinned view at full width (ties to the last maximum). The ladder
     /// observes the batch once if it had shared rows; the counters go
@@ -942,59 +942,49 @@ impl SnapshotCell {
 // Runtime
 // ---------------------------------------------------------------------------
 
+/// Replay-buffer capacity (recent clean labeled samples, encoded; the
+/// corpus drift-triggered retraining runs on).
+const REPLAY_CAPACITY: usize = 1024;
+/// Held-out buffer capacity (clean labeled samples diverted from
+/// learning; the accuracy yardstick for rollback decisions).
+const HOLDOUT_CAPACITY: usize = 256;
+/// Dead-letter buffer capacity (quarantined samples; oldest are evicted
+/// on overflow).
+const DEAD_LETTER_CAPACITY: usize = 128;
+/// Feature-range slack: a feature at column `j` is accepted within
+/// `[min_j - slack·extent_j, min_j + (1 + slack)·extent_j]` where
+/// `extent_j` is the trained span (1.0 for constant features).
+const RANGE_SLACK: f64 = 3.0;
+/// EWMA mispredict rate that triggers drift retraining.
+const DRIFT_THRESHOLD: f64 = 0.35;
+/// EWMA smoothing factor of the mispredict-rate estimate.
+const DRIFT_ALPHA: f64 = 0.05;
+/// Minimum labeled samples between drift retrains.
+const DRIFT_MIN_UPDATES: u64 = 64;
+/// Maximum epochs per drift retrain (bounded work per trigger).
+const RETRAIN_EPOCHS: usize = 3;
+/// Worker threads for drift retraining
+/// ([`retrain_epoch_parallel`](crate::HdcModel::retrain_epoch_parallel)).
+const RETRAIN_THREADS: usize = 1;
+/// Roll back to the previous checkpoint generation when held-out
+/// accuracy drops more than this below the last checkpoint's.
+const ROLLBACK_THRESHOLD: f64 = 0.05;
+
 /// Tunables of the online-learning runtime.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
     /// Labeled samples between automatic checkpoints (0 = manual only).
     pub checkpoint_every: u64,
-    /// Replay-buffer capacity (recent clean labeled samples, encoded;
-    /// the corpus drift-triggered retraining runs on).
-    pub replay_capacity: usize,
-    /// Held-out buffer capacity (clean labeled samples diverted from
-    /// learning; the accuracy yardstick for rollback decisions).
-    pub holdout_capacity: usize,
     /// Every k-th clean labeled sample goes to the held-out buffer
     /// instead of being learned (≥ 2; e.g. 10 = 10% held out).
     pub holdout_every: u64,
-    /// Dead-letter buffer capacity (quarantined samples; oldest are
-    /// evicted on overflow).
-    pub dead_letter_capacity: usize,
-    /// Feature-range slack: a feature at column `j` is accepted within
-    /// `[min_j - slack·extent_j, min_j + (1 + slack)·extent_j]` where
-    /// `extent_j` is the trained span (1.0 for constant features).
-    /// `f64::INFINITY` disables range checks.
-    pub range_slack: f64,
-    /// EWMA mispredict rate that triggers drift retraining.
-    pub drift_threshold: f64,
-    /// EWMA smoothing factor of the mispredict-rate estimate.
-    pub drift_alpha: f64,
-    /// Minimum labeled samples between drift retrains.
-    pub drift_min_updates: u64,
-    /// Maximum epochs per drift retrain (bounded work per trigger).
-    pub retrain_epochs: usize,
-    /// Worker threads for drift retraining
-    /// ([`retrain_epoch_parallel`](crate::HdcModel::retrain_epoch_parallel)).
-    pub retrain_threads: usize,
-    /// Roll back to the previous checkpoint generation when held-out
-    /// accuracy drops more than this below the last checkpoint's.
-    pub rollback_threshold: f64,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             checkpoint_every: 256,
-            replay_capacity: 1024,
-            holdout_capacity: 256,
             holdout_every: 10,
-            dead_letter_capacity: 128,
-            range_slack: 3.0,
-            drift_threshold: 0.35,
-            drift_alpha: 0.05,
-            drift_min_updates: 64,
-            retrain_epochs: 3,
-            retrain_threads: 1,
-            rollback_threshold: 0.05,
         }
     }
 }
@@ -1530,17 +1520,21 @@ impl OnlineRuntime {
     }
 
     /// Serves `rows` through the scoring routine, with the range check
-    /// of [`RuntimeConfig::range_slack`], and judges each answer's
-    /// deadline against `budget`.
+    /// of `RANGE_SLACK`, and judges each answer's deadline against
+    /// `budget`.
     fn infer_rows<R: InferRow>(
         &mut self,
         rows: &[R],
         budget: Option<Duration>,
     ) -> Vec<Result<InferOutcome, RuntimeError>> {
         let budget_ns = budget.map(|b| u64::try_from(b.as_nanos()).unwrap_or(u64::MAX));
-        let slack = self.config.range_slack;
-        self.scorer
-            .serve(&self.pipeline, rows, budget_ns, slack, &mut self.stats);
+        self.scorer.serve(
+            &self.pipeline,
+            rows,
+            budget_ns,
+            RANGE_SLACK,
+            &mut self.stats,
+        );
         let stats = &mut self.stats;
         self.scorer
             .drain_verdicts()
@@ -1573,7 +1567,7 @@ impl OnlineRuntime {
     /// errors cannot occur for sanitized input.
     pub fn learn(&mut self, features: &[f64], label: usize) -> Result<LearnOutcome, RuntimeError> {
         let n_classes = self.pipeline.model().n_classes();
-        let mut checked = sanitize(&self.pipeline, features, self.config.range_slack);
+        let mut checked = sanitize(&self.pipeline, features, RANGE_SLACK);
         if checked.is_ok() && label >= n_classes {
             checked = Err(RejectReason::LabelOutOfRange { label, n_classes });
         }
@@ -1590,11 +1584,7 @@ impl OnlineRuntime {
             .labeled_counter
             .is_multiple_of(self.config.holdout_every)
         {
-            push_bounded(
-                &mut self.holdout,
-                (encoded, label),
-                self.config.holdout_capacity,
-            );
+            push_bounded(&mut self.holdout, (encoded, label), HOLDOUT_CAPACITY);
             self.stats.held_out += 1;
             return Ok(LearnOutcome {
                 was_correct: true,
@@ -1612,12 +1602,8 @@ impl OnlineRuntime {
             self.stats.corrected += 1;
         }
         let err = if was_correct { 0.0 } else { 1.0 };
-        self.err_ewma += self.config.drift_alpha * (err - self.err_ewma);
-        push_bounded(
-            &mut self.replay,
-            (encoded, label),
-            self.config.replay_capacity,
-        );
+        self.err_ewma += DRIFT_ALPHA * (err - self.err_ewma);
+        push_bounded(&mut self.replay, (encoded, label), REPLAY_CAPACITY);
 
         let retrained = self.maybe_retrain()?;
 
@@ -1655,7 +1641,7 @@ impl OnlineRuntime {
         let acc = self.holdout_accuracy();
         if self.generation > 0 {
             if let Some(a) = acc {
-                if a + self.config.rollback_threshold < self.last_ckpt_acc {
+                if a + ROLLBACK_THRESHOLD < self.last_ckpt_acc {
                     let to = self.rollback()?;
                     return Ok(CheckpointAction::RolledBack { to_generation: to });
                 }
@@ -1705,18 +1691,17 @@ impl OnlineRuntime {
     /// the previous checkpoint generation if the retrain made held-out
     /// accuracy regress past the threshold.
     fn maybe_retrain(&mut self) -> Result<bool, RuntimeError> {
-        if self.err_ewma <= self.config.drift_threshold
-            || self.since_retrain < self.config.drift_min_updates
+        if self.err_ewma <= DRIFT_THRESHOLD
+            || self.since_retrain < DRIFT_MIN_UPDATES
             || self.replay.len() < 16
         {
             return Ok(false);
         }
         let before = self.holdout_accuracy();
         let (encoded, labels): (Vec<IntHv>, Vec<usize>) = self.replay.iter().cloned().unzip();
-        let threads = self.config.retrain_threads.max(1);
         let model = self.pipeline.model_mut();
-        for _ in 0..self.config.retrain_epochs {
-            if model.retrain_epoch_parallel(&encoded, &labels, threads)? == 0 {
+        for _ in 0..RETRAIN_EPOCHS {
+            if model.retrain_epoch_parallel(&encoded, &labels, RETRAIN_THREADS)? == 0 {
                 break;
             }
         }
@@ -1726,7 +1711,7 @@ impl OnlineRuntime {
         self.err_ewma /= 2.0;
         if self.generation > 0 {
             if let (Some(b), Some(a)) = (before, self.holdout_accuracy()) {
-                if a + self.config.rollback_threshold < b {
+                if a + ROLLBACK_THRESHOLD < b {
                     self.rollback()?;
                     return Ok(true); // rollback already republished
                 }
@@ -1745,7 +1730,7 @@ impl OnlineRuntime {
                 label,
                 reason,
             },
-            self.config.dead_letter_capacity,
+            DEAD_LETTER_CAPACITY,
         );
     }
 }
@@ -1973,7 +1958,6 @@ mod tests {
         let config = RuntimeConfig {
             checkpoint_every: 8,
             holdout_every: 100,
-            ..RuntimeConfig::default()
         };
         let mut rt = OnlineRuntime::new(pipeline, store_in(dir.path()), config).unwrap();
         rt.checkpoint().unwrap();
@@ -2051,8 +2035,6 @@ mod tests {
         let config = RuntimeConfig {
             checkpoint_every: 0, // manual
             holdout_every: 2,    // fill the holdout buffer fast
-            rollback_threshold: 0.05,
-            ..RuntimeConfig::default()
         };
         let mut rt = OnlineRuntime::new(pipeline, store_in(dir.path()), config).unwrap();
         // Build a held-out yardstick and a durable generation.
@@ -2175,7 +2157,6 @@ mod tests {
         let config = RuntimeConfig {
             checkpoint_every: 8,
             holdout_every: 100,
-            ..RuntimeConfig::default()
         };
         let mut rt = OnlineRuntime::new(toy_pipeline(), store_in(dir.path()), config).unwrap();
         let cell = rt.snapshots();

@@ -1,13 +1,14 @@
-//! Supervised sharded serving runtime: N panic-isolated worker shards
-//! scoring RCU [`ModelSnapshot`]s, one writer shard applying online
-//! updates, and a supervisor that restarts crashed shards with
-//! exponential backoff behind a restart-budget circuit breaker. Each
-//! worker serves its micro-batches through its own copy of the one Infer
-//! scoring routine that [`OnlineRuntime::infer`] also uses (check each
-//! row, encode, pick a ladder tier, score in one zero-allocation batched
-//! pass or against a tenant's mapped view); the worker itself only
-//! queues, parks its batch for crash recovery, publishes its
-//! floor-latency estimate and replies.
+//! Sharded serving runtime: N panic-isolated, self-supervising worker
+//! shards scoring RCU [`ModelSnapshot`]s, and one writer shard applying
+//! online updates. Each worker thread restarts its own serving loop
+//! after a panic, with exponential backoff behind a restart-budget
+//! circuit breaker. Each worker serves its micro-batches through its
+//! own copy of the one Infer scoring routine that
+//! [`OnlineRuntime::infer`] also uses (check each row, encode, pick a
+//! ladder tier, score in one zero-allocation batched pass or against a
+//! tenant's mapped view); the worker itself only queues, holds its
+//! batch for crash recovery, publishes its floor-latency estimate and
+//! replies.
 //!
 //! ```text
 //!                      ┌────────────────────────────────────────────┐
@@ -16,10 +17,10 @@
 //!    shortest queue)   └───────┬──────────┬──────────┬──────────────┘
 //!                              │          │◄──steal──│  own pop,
 //!                        ┌─────▼───┐ ┌────▼────┐ ┌───▼─────┐ steal when idle
-//!                        │ worker 0│ │ worker 1│ │ worker N│  catch_unwind
-//!                        │ scoring │ │ scoring │ │ scoring │  + in-flight
-//!                        │ routine │ │ routine │ │ routine │  recovery
-//!                        └─────┬───┘ └────┬────┘ └───┬─────┘
+//!                        │ worker 0│ │ worker 1│ │ worker N│  catch_unwind:
+//!                        │ scoring │ │ scoring │ │ scoring │  requeue own
+//!                        │ routine │ │ routine │ │ routine │  batch, back off,
+//!                        └─────┬───┘ └────┬────┘ └───┬─────┘  re-enter
 //!                              │ SnapshotCell::load  │
 //!                      ┌───────▼──────────▼──────────▼──────┐
 //!                      │   RCU ModelSnapshot (versioned)    │◄── publish
@@ -27,18 +28,17 @@
 //!   submit_learn() ──► bounded learn queue ──► writer shard ── OnlineRuntime
 //!                      (MPSC, backpressure)    (checkpoints, retrains,
 //!                                               rollbacks, dead letters)
-//!                              supervisor: restart w/ backoff,
-//!                              circuit breaker, requeue in-flight
 //! ```
 //!
-//! **Failure containment.** Each worker runs inside
-//! [`catch_unwind`](std::panic::catch_unwind); a panicking shard's
-//! in-flight batch is requeued at the *front* of the work queue by the
-//! supervisor (so crashed-over requests keep their place), and the
-//! shard is restarted after an exponential backoff. A shard that
-//! exhausts its restart budget trips a per-shard circuit breaker and
-//! stays down; when every worker is down, admission fails fast with
-//! [`SubmitError::Unavailable`] instead of queueing unboundedly.
+//! **Failure containment.** Each worker thread runs its serving loop
+//! inside [`catch_unwind`](std::panic::catch_unwind) and supervises
+//! itself: on a panic it requeues the batch it held at the *front* of
+//! its own queue (so crashed-over requests keep their place), backs off
+//! exponentially and re-enters the loop. A shard that exhausts its
+//! restart budget trips its circuit breaker and exits; the last circuit
+//! to open closes the queues and cancels the work still queued, and
+//! admission then fails fast with [`SubmitError::Unavailable`] instead
+//! of queueing for a fleet that cannot answer.
 //!
 //! **Work distribution.** Each worker owns a bounded queue; admission
 //! routes every request to the currently-shortest queue (round-robin on
@@ -83,8 +83,8 @@ use crate::runtime::{
     RuntimeStats, Scorer, SnapshotCell,
 };
 
-/// How long a parked worker or the supervisor sleeps between checks for
-/// shutdown/chaos flags when no work arrives.
+/// How long a parked worker or the writer waits for work before looking
+/// again (a worker then tries to steal and checks its chaos stall).
 const IDLE_TICK: Duration = Duration::from_millis(5);
 
 /// Recovers a poisoned mutex: every structure guarded here is updated
@@ -583,7 +583,7 @@ pub struct ServeStats {
     pub canceled: u64,
     /// In-flight requests recovered from panicking shards and requeued.
     pub requeued: u64,
-    /// Worker panics caught by the supervisor.
+    /// Worker panics caught by the panicking worker itself.
     pub shard_panics: u64,
     /// Worker restarts performed.
     pub shard_restarts: u64,
@@ -627,10 +627,6 @@ struct Shared {
     work: ShardedQueue<Request>,
     learn: BoundedQueue<LearnRequest>,
     snapshots: Arc<SnapshotCell>,
-    /// The writer's runtime; uncontended in steady state (only the
-    /// writer thread locks it per message) and reclaimed by drain for
-    /// the final checkpoint even if the writer panicked.
-    runtime: Mutex<Option<OnlineRuntime>>,
     counters: Counters,
     /// Worker-side [`RuntimeStats`] deltas, merged per batch — the
     /// shard-aggregatable counters of the whole reader fleet.
@@ -648,11 +644,8 @@ struct Shared {
     /// ([`ServerHandle::submit_tenant`]); `None` = single-tenant server.
     registry: Option<Arc<ModelRegistry>>,
     config: ServeConfig,
-    /// One in-flight slot per shard: the batch a worker is currently
-    /// holding, recovered by the supervisor if the worker panics.
-    in_flight: Vec<Mutex<Vec<Request>>>,
-    /// Chaos: arm to make shard *i* panic mid-batch (after it has taken
-    /// its in-flight batch, before scoring).
+    /// Chaos: arm to make shard *i* panic mid-batch (after it has
+    /// gathered its batch, before scoring).
     kill_flags: Vec<AtomicBool>,
     /// Chaos: nanoseconds the writer sleeps before its next apply.
     stall_ns: AtomicU64,
@@ -661,16 +654,71 @@ struct Shared {
     shard_stall_ns: Vec<AtomicU64>,
 }
 
-enum Event {
-    Panicked(usize),
-    Exited,
-}
-
 // ---------------------------------------------------------------------------
 // Worker shard
 // ---------------------------------------------------------------------------
 
-fn worker_shard(shard: usize, shared: &Shared) {
+/// One worker thread, supervising itself: it serves batches until the
+/// queues close, and a panic anywhere in a pass requeues the batch that
+/// pass held (at the *front* of this shard's queue, so crashed-over
+/// requests keep their place), backs off exponentially and re-enters —
+/// until the restart budget is spent and the shard's circuit opens.
+fn worker_thread(shard: usize, shared: &Shared) {
+    // Owned by the thread, so it outlives an unwinding pass; every
+    // batch reuses its buffer.
+    let mut batch = Vec::new();
+    let mut restarts = 0u32;
+    while catch_unwind(AssertUnwindSafe(|| worker_shard(shard, shared, &mut batch))).is_err() {
+        shared.counters.shard_panics.fetch_add(1, Ordering::Relaxed);
+        shared
+            .counters
+            .requeued
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        for request in batch.drain(..).rev() {
+            shared.work.push_front_forced(shard, request);
+        }
+        if restarts >= shared.config.restart_budget {
+            open_circuit(shared);
+            return;
+        }
+        restarts += 1;
+        let backoff = shared
+            .config
+            .restart_backoff
+            .saturating_mul(1u32 << (restarts - 1).min(16))
+            .min(shared.config.restart_backoff_max);
+        std::thread::sleep(backoff);
+        shared
+            .counters
+            .shard_restarts
+            .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Takes a shard out of service for good. The last circuit to open
+/// closes the queues and cancels everything still queued: no shard will
+/// ever pop again, so clients fail fast (their reply senders drop →
+/// [`ServeError::Canceled`]) instead of waiting on a fleet that cannot
+/// answer.
+fn open_circuit(shared: &Shared) {
+    shared
+        .counters
+        .circuit_opens
+        .fetch_add(1, Ordering::Relaxed);
+    if shared.live_shards.fetch_sub(1, Ordering::Relaxed) == 1 {
+        shared.work.close_all();
+        let orphaned = shared.work.drain_all();
+        shared
+            .counters
+            .canceled
+            .fetch_add(orphaned.len() as u64, Ordering::Relaxed);
+    }
+}
+
+/// Serves batches until the queues close and drain. `batch` is the
+/// caller's crash-recovery buffer: every batch is gathered into it, so
+/// whatever a panic interrupts is still there for the caller to requeue.
+fn worker_shard(shard: usize, shared: &Shared, batch: &mut Vec<Request>) {
     let dim = shared.snapshots.load().pipeline().model().dim();
     let Ok(mut scorer) = Scorer::new(dim) else {
         // Impossible for a trained model (dim ≥ 1); exiting cleanly
@@ -713,11 +761,6 @@ fn worker_shard(shard: usize, shared: &Shared) {
                 }
             },
         };
-        // The batch is gathered straight into the crash-recovery slot,
-        // whose buffer every batch reuses: a panic from here on loses
-        // nothing. Only the supervisor ever takes this lock besides
-        // this shard, and only after the shard has died.
-        let mut batch = lock_unpoisoned(&shared.in_flight[shard]);
         batch.push(first);
         while batch.len() < shared.config.batch_max {
             match shared.work.try_pop_own(shard) {
@@ -749,7 +792,7 @@ fn worker_shard(shard: usize, shared: &Shared) {
         let snapshot = shared.snapshots.load();
         let fed = scorer.serve(
             snapshot.pipeline(),
-            &batch,
+            batch,
             tightest_ns,
             f64::INFINITY,
             &mut locals,
@@ -762,8 +805,8 @@ fn worker_shard(shard: usize, shared: &Shared) {
             }
         }
 
-        // Scoring is done: answer, emptying the slot as we go. (A panic
-        // here drops the remaining reply senders, surfacing as
+        // Scoring is done: answer, emptying the buffer as we go. (A
+        // panic here drops the remaining reply senders, surfacing as
         // Canceled — never a double answer.)
         for (request, verdict) in batch.drain(..).zip(scorer.drain_verdicts()) {
             let reply = match verdict {
@@ -792,7 +835,6 @@ fn worker_shard(shard: usize, shared: &Shared) {
             };
             let _ = request.reply.try_send(reply);
         }
-        drop(batch);
 
         // Publish this batch's stats delta while it is still small —
         // a later crash loses at most one batch of counters.
@@ -806,13 +848,15 @@ fn worker_shard(shard: usize, shared: &Shared) {
 // Writer shard
 // ---------------------------------------------------------------------------
 
-fn writer_shard(shared: &Shared) {
+/// Applies labeled samples until the learn queue closes, then hands its
+/// runtime back through the thread's join handle.
+fn writer_shard(shared: &Shared, mut runtime: OnlineRuntime) -> OnlineRuntime {
     let mut since_publish = 0u64;
     loop {
         let request = match shared.learn.pop(IDLE_TICK) {
             Pop::Item(request) => request,
             Pop::TimedOut => continue,
-            Pop::Closed => break,
+            Pop::Closed => return runtime,
         };
         let stall = shared.stall_ns.swap(0, Ordering::Relaxed);
         if stall > 0 {
@@ -822,10 +866,6 @@ fn writer_shard(shared: &Shared) {
                 .fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_nanos(stall));
         }
-        let mut guard = lock_unpoisoned(&shared.runtime);
-        let Some(runtime) = guard.as_mut() else {
-            break;
-        };
         // Quarantine and checkpoint failures are both absorbed by the
         // runtime (counted, never fatal); a panic from a genuine bug is
         // contained so one poisoned sample cannot kill the writer.
@@ -844,144 +884,6 @@ fn writer_shard(shared: &Shared) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor
-// ---------------------------------------------------------------------------
-
-struct ShardSeat {
-    restarts_used: u32,
-    restart_due: Option<Instant>,
-    open: bool,
-}
-
-fn spawn_worker(
-    shard: usize,
-    shared: &Arc<Shared>,
-    events: &mpsc::Sender<Event>,
-) -> std::io::Result<JoinHandle<()>> {
-    let shared = Arc::clone(shared);
-    let events = events.clone();
-    std::thread::Builder::new()
-        .name(format!("generic-serve-worker-{shard}"))
-        .spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| worker_shard(shard, &shared)));
-            let _ = events.send(match outcome {
-                Ok(()) => Event::Exited,
-                Err(_) => Event::Panicked(shard),
-            });
-        })
-}
-
-fn supervisor(shared: Arc<Shared>, events: mpsc::Receiver<Event>, sender: mpsc::Sender<Event>) {
-    let n = shared.config.shards;
-    let mut seats: Vec<ShardSeat> = (0..n)
-        .map(|_| ShardSeat {
-            restarts_used: 0,
-            restart_due: None,
-            open: false,
-        })
-        .collect();
-    let mut running = n;
-
-    loop {
-        // Done when nothing is running and nothing is scheduled to be.
-        if running == 0 && seats.iter().all(|s| s.restart_due.is_none()) {
-            break;
-        }
-
-        // Fire due restarts.
-        let now = Instant::now();
-        for (shard, seat) in seats.iter_mut().enumerate() {
-            if seat.restart_due.is_some_and(|at| at <= now) {
-                seat.restart_due = None;
-                match spawn_worker(shard, &shared, &sender) {
-                    Ok(_) => {
-                        running += 1;
-                        shared
-                            .counters
-                            .shard_restarts
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => open_circuit(&shared, seat),
-                }
-            }
-        }
-
-        let wait = seats
-            .iter()
-            .filter_map(|s| s.restart_due)
-            .map(|at| at.saturating_duration_since(now))
-            .min()
-            .unwrap_or(IDLE_TICK)
-            .max(Duration::from_millis(1));
-        let event = match events.recv_timeout(wait) {
-            Ok(event) => event,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        match event {
-            Event::Exited => {
-                running -= 1;
-            }
-            Event::Panicked(shard) => {
-                running -= 1;
-                shared.counters.shard_panics.fetch_add(1, Ordering::Relaxed);
-
-                // Recover the in-flight batch: requeue at the front so
-                // crashed-over requests keep their place in line.
-                let stranded = std::mem::take(&mut *lock_unpoisoned(&shared.in_flight[shard]));
-                shared
-                    .counters
-                    .requeued
-                    .fetch_add(stranded.len() as u64, Ordering::Relaxed);
-                for request in stranded.into_iter().rev() {
-                    shared.work.push_front_forced(shard, request);
-                }
-
-                let seat = &mut seats[shard];
-                if seat.restarts_used >= shared.config.restart_budget {
-                    open_circuit(&shared, seat);
-                } else {
-                    seat.restarts_used += 1;
-                    let exp = seat.restarts_used.saturating_sub(1).min(16);
-                    let backoff = shared
-                        .config
-                        .restart_backoff
-                        .saturating_mul(1u32 << exp)
-                        .min(shared.config.restart_backoff_max);
-                    seat.restart_due = Some(Instant::now() + backoff);
-                }
-            }
-        }
-    }
-
-    // No shard will ever pop again; cancel whatever is still queued so
-    // clients unblock (their reply senders drop → Canceled).
-    if shared.live_shards.load(Ordering::Relaxed) == 0 {
-        let orphaned = shared.work.drain_all();
-        shared
-            .counters
-            .canceled
-            .fetch_add(orphaned.len() as u64, Ordering::Relaxed);
-    }
-}
-
-fn open_circuit(shared: &Shared, seat: &mut ShardSeat) {
-    if !seat.open {
-        seat.open = true;
-        shared
-            .counters
-            .circuit_opens
-            .fetch_add(1, Ordering::Relaxed);
-        let left = shared.live_shards.fetch_sub(1, Ordering::Relaxed) - 1;
-        if left == 0 {
-            // Total outage: fail queued work fast instead of letting
-            // clients wait on a fleet that cannot answer.
-            shared.work.close_all();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
 
@@ -989,8 +891,8 @@ fn open_circuit(shared: &Shared, seat: &mut ShardSeat) {
 /// clones; shut down with [`drain`](Server::drain).
 pub struct Server {
     shared: Arc<Shared>,
-    supervisor: Option<JoinHandle<()>>,
-    writer: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+    writer: JoinHandle<OnlineRuntime>,
 }
 
 /// A cloneable submission handle.
@@ -1021,8 +923,8 @@ pub struct DrainReport {
 }
 
 impl Server {
-    /// Starts the fleet: `config.shards` workers, one writer owning
-    /// `runtime`, and the supervisor.
+    /// Starts the fleet: `config.shards` self-supervising workers and
+    /// one writer owning `runtime`.
     ///
     /// # Errors
     ///
@@ -1076,7 +978,6 @@ impl Server {
             work: ShardedQueue::new(config.shards, config.queue_depth),
             learn: BoundedQueue::new(config.learn_queue_depth),
             snapshots,
-            runtime: Mutex::new(Some(runtime)),
             counters: Counters::default(),
             worker_stats: Mutex::new(RuntimeStats::default()),
             floor_ns: AtomicU64::new(0),
@@ -1085,35 +986,31 @@ impl Server {
             n_features,
             registry,
             config,
-            in_flight: (0..config.shards).map(|_| Mutex::new(Vec::new())).collect(),
             kill_flags: (0..config.shards).map(|_| AtomicBool::new(false)).collect(),
             stall_ns: AtomicU64::new(0),
             shard_stall_ns: (0..config.shards).map(|_| AtomicU64::new(0)).collect(),
         });
 
-        let (event_tx, event_rx) = mpsc::channel();
-        for shard in 0..config.shards {
-            spawn_worker(shard, &shared, &event_tx).map_err(RuntimeError::Io)?;
-        }
-        let supervisor_handle = {
-            let shared = Arc::clone(&shared);
-            let sender = event_tx.clone();
-            std::thread::Builder::new()
-                .name("generic-serve-supervisor".into())
-                .spawn(move || supervisor(shared, event_rx, sender))
-                .map_err(RuntimeError::Io)?
-        };
-        let writer_handle = {
+        let workers = (0..config.shards)
+            .map(|shard| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("generic-serve-worker-{shard}"))
+                    .spawn(move || worker_thread(shard, &shared))
+            })
+            .collect::<Result<_, _>>()
+            .map_err(RuntimeError::Io)?;
+        let writer = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("generic-serve-writer".into())
-                .spawn(move || writer_shard(&shared))
+                .spawn(move || writer_shard(&shared, runtime))
                 .map_err(RuntimeError::Io)?
         };
         Ok(Server {
             shared,
-            supervisor: Some(supervisor_handle),
-            writer: Some(writer_handle),
+            workers,
+            writer,
         })
     }
 
@@ -1130,23 +1027,22 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns an error only when a supervision thread cannot be
-    /// joined; checkpoint failure is reported in the drain report, not
-    /// as an error.
-    pub fn drain(mut self) -> Result<DrainReport, RuntimeError> {
+    /// Returns an error only when a worker or the writer thread
+    /// panicked outside its own containment; checkpoint failure is
+    /// reported in the drain report, not as an error.
+    pub fn drain(self) -> Result<DrainReport, RuntimeError> {
         self.shared.draining.store(true, Ordering::Relaxed);
         self.shared.work.close_all();
-        if let Some(handle) = self.supervisor.take() {
-            handle
+        for worker in self.workers {
+            worker
                 .join()
-                .map_err(|_| RuntimeError::Io(std::io::Error::other("supervisor panicked")))?;
+                .map_err(|_| RuntimeError::Io(std::io::Error::other("worker panicked")))?;
         }
         self.shared.learn.close();
-        if let Some(handle) = self.writer.take() {
-            handle
-                .join()
-                .map_err(|_| RuntimeError::Io(std::io::Error::other("writer panicked")))?;
-        }
+        let mut runtime = self
+            .writer
+            .join()
+            .map_err(|_| RuntimeError::Io(std::io::Error::other("writer panicked")))?;
 
         // Anything still queued has no consumer left; cancel it.
         let orphaned = self.shared.work.drain_all();
@@ -1156,28 +1052,14 @@ impl Server {
             .fetch_add(orphaned.len() as u64, Ordering::Relaxed);
         drop(orphaned);
 
-        let mut runtime = lock_unpoisoned(&self.shared.runtime).take();
-        let (writer_stats, generation, seen, dead_letters, final_checkpoint_ok) =
-            match runtime.as_mut() {
-                Some(rt) => {
-                    let ok = rt.checkpoint().is_ok();
-                    (
-                        *rt.stats(),
-                        rt.generation(),
-                        rt.seen(),
-                        rt.dead_letters().cloned().collect(),
-                        ok,
-                    )
-                }
-                None => (RuntimeStats::default(), 0, 0, Vec::new(), false),
-            };
+        let final_checkpoint_ok = runtime.checkpoint().is_ok();
         Ok(DrainReport {
             serve: self.shared.counters.snapshot(),
             workers: *lock_unpoisoned(&self.shared.worker_stats),
-            writer: writer_stats,
-            generation,
-            seen,
-            dead_letters,
+            writer: *runtime.stats(),
+            generation: runtime.generation(),
+            seen: runtime.seen(),
+            dead_letters: runtime.dead_letters().cloned().collect(),
             final_checkpoint_ok,
         })
     }
@@ -1384,8 +1266,8 @@ impl ServerHandle {
     }
 
     /// Chaos hook: the next batch shard `i` picks up panics mid-batch
-    /// (after the in-flight slot is filled, before scoring) — the
-    /// worst-case kill the supervisor must recover from.
+    /// (after the batch is gathered, before scoring) — the worst-case
+    /// kill the worker's own recovery must survive.
     pub fn chaos_kill_shard(&self, shard: usize) {
         if let Some(flag) = self.shared.kill_flags.get(shard) {
             flag.store(true, Ordering::Relaxed);

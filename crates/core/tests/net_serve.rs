@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use generic_hdc::encoding::GenericEncoderSpec;
-use generic_hdc::net::{read_frame, write_frame, NetConfig, NetFrontend};
+use generic_hdc::net::{read_frame, write_frame, NetFrontend};
 use generic_hdc::runtime::{CheckpointStore, OnlineRuntime, RetryPolicy, RuntimeConfig};
 use generic_hdc::serve::{ServeConfig, Server};
 use generic_hdc::{Frame, HdcPipeline, NetStatus};
@@ -118,8 +118,7 @@ fn stalled_shard_queue_is_stolen_by_sibling() {
 fn slow_client_does_not_stall_other_connections() {
     let dir = TempDir::new("slow");
     let server = Server::start(runtime_in(dir.path()), quick_config(2)).expect("server starts");
-    let frontend = NetFrontend::bind("127.0.0.1:0", server.handle(), NetConfig::default())
-        .expect("loopback binds");
+    let frontend = NetFrontend::bind("127.0.0.1:0", server.handle()).expect("loopback binds");
 
     // The slow client floods requests and never reads a byte back.
     let mut slow = connect(&frontend);
@@ -172,8 +171,7 @@ fn slow_client_does_not_stall_other_connections() {
 fn graceful_shutdown_says_goodbye_before_eof() {
     let dir = TempDir::new("goodbye");
     let server = Server::start(runtime_in(dir.path()), quick_config(2)).expect("server starts");
-    let frontend = NetFrontend::bind("127.0.0.1:0", server.handle(), NetConfig::default())
-        .expect("loopback binds");
+    let frontend = NetFrontend::bind("127.0.0.1:0", server.handle()).expect("loopback binds");
 
     let mut conn = connect(&frontend);
     // One answered request proves the connection was live first.
@@ -213,8 +211,7 @@ fn graceful_shutdown_says_goodbye_before_eof() {
 fn malformed_frame_drops_the_connection_not_the_shard() {
     let dir = TempDir::new("malformed");
     let server = Server::start(runtime_in(dir.path()), quick_config(2)).expect("server starts");
-    let frontend = NetFrontend::bind("127.0.0.1:0", server.handle(), NetConfig::default())
-        .expect("loopback binds");
+    let frontend = NetFrontend::bind("127.0.0.1:0", server.handle()).expect("loopback binds");
 
     // CRC-tamper a valid frame: flip a bit in the trailer.
     let mut bytes = Frame::Ping { request_id: 9 }.encode();

@@ -190,6 +190,59 @@ fn restart_budget_opens_the_circuit() {
     );
 }
 
+/// When the last circuit opens, the work still queued is canceled at
+/// once: every admitted ticket resolves `Canceled` before `drain` is
+/// called, instead of waiting on a fleet that cannot answer.
+#[test]
+fn total_outage_cancels_queued_work_before_drain() {
+    let dir = TempDir::new("outage");
+    let config = ServeConfig {
+        restart_budget: 0,
+        ..quick_config(1)
+    };
+    let server = Server::start(runtime_in(dir.path()), config).expect("server starts");
+    let handle = server.handle();
+
+    // Park the lone shard so requests queue up behind it; the batch it
+    // gathers when it wakes panics, and with no budget its circuit opens.
+    // The assertions hold under any interleaving: the pause only makes
+    // a backed-up queue the usual case.
+    handle.chaos_stall_shard(0, Duration::from_millis(100));
+    std::thread::sleep(Duration::from_millis(20));
+    handle.chaos_kill_shard(0);
+    let tickets: Vec<_> = (0..8)
+        .filter_map(|i| handle.submit(sample_features(i), None).ok())
+        .collect();
+    let admitted = tickets.len() as u64;
+    assert!(admitted >= 1, "the first request is admitted");
+
+    let started = Instant::now();
+    for ticket in tickets {
+        assert_eq!(
+            ticket.wait_timeout(Duration::from_secs(5)).err(),
+            Some(ServeError::Canceled)
+        );
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "a ticket ran into its timeout instead of being canceled"
+    );
+    let stats = handle.stats();
+    assert_eq!(stats.admitted, admitted);
+    assert_eq!(
+        stats.canceled, admitted,
+        "the outage canceled every admitted request"
+    );
+    assert_eq!(stats.circuit_opens, 1);
+    assert_eq!(handle.live_shards(), 0);
+
+    let report = server.drain().expect("drain succeeds after an outage");
+    assert_eq!(
+        report.serve.canceled, admitted,
+        "drain found nothing left to cancel"
+    );
+}
+
 /// The bounded work queue rejects with `QueueFull` instead of buffering
 /// unboundedly, and malformed rows are rejected synchronously.
 #[test]
